@@ -6,13 +6,14 @@
 // the serving layer, the benchmark harness and the CLI tools all drive
 // through a single registry.
 //
-// An engine takes two element sets and produces the intersecting (or
-// within-distance) ID pairs plus a uniform Stats record: pages read,
-// candidate tests, refinements (pairs surviving the MBB filter), and the
-// wall/modeled-I/O split the paper reports. The planner subpackage picks an
-// engine per request from cheap dataset statistics, with TRANSFORMERS as the
-// robust fallback — the serving counterpart of the paper's thesis that no
-// fixed layout wins everywhere.
+// An engine takes two element sets and streams the intersecting (or
+// within-distance) ID pairs through an emit callback as it finds them — the
+// one execution path (RunStream); Run is only a collector over it — and
+// returns a uniform Stats record: pages read, candidate tests, refinements
+// (pairs surviving the MBB filter), and the wall/modeled-I/O split the paper
+// reports. The planner subpackage picks an engine per request from cheap
+// dataset statistics, with TRANSFORMERS as the robust fallback — the serving
+// counterpart of the paper's thesis that no fixed layout wins everywhere.
 package engine
 
 import (
@@ -51,8 +52,8 @@ type Options struct {
 	// Concurrent marks prebuilt indexes as shared with other goroutines
 	// (the serving layer); reads then go through private reader views.
 	Concurrent bool
-	// DiscardPairs skips pair collection (benchmarks that only need the
-	// counters).
+	// DiscardPairs makes Run skip pair collection (benchmarks that only
+	// need the counters); RunStream ignores it.
 	DiscardPairs bool
 
 	// TRANSFORMERS-specific knobs (forwarded to core.JoinConfig).
@@ -237,8 +238,8 @@ func (s *Stats) finish(disk storage.DiskModel) {
 type Result struct {
 	// Engine is the name of the engine that ran.
 	Engine string
-	// Pairs lists the joined ID pairs, A always from the first input
-	// (nil with Options.DiscardPairs).
+	// Pairs lists the joined ID pairs Run collected, A always from the
+	// first input (nil from RunStream and with Options.DiscardPairs).
 	Pairs []geom.Pair
 	// Stats is the uniform cost record.
 	Stats Stats
@@ -253,8 +254,11 @@ type Joiner interface {
 	Name() string
 	// Capabilities describes the engine's execution profile.
 	Capabilities() Capabilities
-	// Join executes the engine end to end on the two element sets.
-	Join(ctx context.Context, a, b []geom.Element, opt Options) (*Result, error)
+	// JoinStream executes the engine end to end on the two element sets,
+	// reporting each result pair through emit as it is found; the returned
+	// Result carries the Stats with Pairs nil. An emit error (including one
+	// caused by context cancellation) aborts the join early and is returned.
+	JoinStream(ctx context.Context, a, b []geom.Element, opt Options, emit EmitFunc) (*Result, error)
 }
 
 // registry is the process-wide engine registry. Engines register in init;
@@ -315,26 +319,21 @@ func All() []Joiner {
 	return out
 }
 
-// Run resolves name and executes the engine — the one-call form every layer
-// above uses. An empty input short-circuits to an empty result (after option
-// validation) through the same guard RunStream uses (emptyInputResult), so
-// the collected and streaming paths cannot diverge on degenerate inputs.
+// Run is the collector over RunStream: it executes the named engine and
+// gathers the emitted pairs into Result.Pairs (none with
+// Options.DiscardPairs).
 func Run(ctx context.Context, name string, a, b []geom.Element, opt Options) (*Result, error) {
-	j, err := Get(name)
+	var pairs []geom.Pair
+	emit := func(p geom.Pair) error { pairs = append(pairs, p); return nil }
+	if opt.DiscardPairs {
+		emit = func(geom.Pair) error { return nil }
+	}
+	res, err := RunStream(ctx, name, a, b, opt, emit)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if res, done, err := emptyInputResult(name, a, b, opt); done {
-		return res, err
-	}
-	ctx, span := obs.Start(ctx, "engine:"+name)
-	res, err := j.Join(ctx, a, b, opt)
-	span.End()
-	annotateEngineSpan(span, res)
-	return res, err
+	res.Pairs = pairs
+	return res, nil
 }
 
 // annotateEngineSpan attaches the uniform cost counters to an engine span —

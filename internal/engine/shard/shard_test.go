@@ -246,6 +246,10 @@ func TestAutoTileCount(t *testing.T) {
 	}
 }
 
+// discard is the emit of direct JoinStream calls that only check errors and
+// Stats.
+func discard(geom.Pair) error { return nil }
+
 // TestEmptyInputShardRecord: the registry's empty-input short-circuit must
 // keep the sharded response shape — a degenerate fan-out record matching the
 // engine's own empty branch — so callers see one schema on both paths.
@@ -258,7 +262,7 @@ func TestEmptyInputShardRecord(t *testing.T) {
 			res, err = engine.Run(context.Background(), engine.ShardTransformers, nil, a, engine.Options{})
 		} else {
 			j, _ := engine.Get(engine.ShardTransformers)
-			res, err = j.Join(context.Background(), nil, a, engine.Options{})
+			res, err = j.JoinStream(context.Background(), nil, a, engine.Options{}, discard)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", via, err)
@@ -281,7 +285,7 @@ func TestUnknownInner(t *testing.T) {
 		t.Fatalf("naming: %q / %q", e.Name(), e.Inner())
 	}
 	a, _ := enginetest.UniformPair(10, 92, 93)
-	if _, err := e.Join(context.Background(), a, a, engine.Options{}); err == nil {
+	if _, err := e.JoinStream(context.Background(), a, a, engine.Options{}, discard); err == nil {
 		t.Fatal("unknown inner engine must error")
 	}
 }
@@ -297,21 +301,21 @@ func TestCanceledContext(t *testing.T) {
 			t.Fatal(err)
 		}
 		j, _ := engine.Get(engine.ShardTransformers)
-		if _, err := j.Join(ctx, enginetest.Copy(a), enginetest.Copy(b), engine.Options{ShardTiles: k}); err == nil {
+		if _, err := j.JoinStream(ctx, enginetest.Copy(a), enginetest.Copy(b), engine.Options{ShardTiles: k}, discard); err == nil {
 			t.Errorf("K=%d: canceled context must abort", k)
 		}
 	}
 }
 
 // TestNegativeDistance mirrors the registry-level validation on the direct
-// Join path.
+// JoinStream call.
 func TestNegativeDistance(t *testing.T) {
 	j, err := engine.Get(engine.ShardTransformers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, b := enginetest.UniformPair(10, 96, 97)
-	if _, err := j.Join(context.Background(), a, b, engine.Options{Distance: -1}); err == nil {
+	if _, err := j.JoinStream(context.Background(), a, b, engine.Options{Distance: -1}, discard); err == nil {
 		t.Fatal("negative distance must fail")
 	}
 }

@@ -42,18 +42,6 @@ func (countingInner) Capabilities() engine.Capabilities {
 	return engine.Capabilities{InMemory: true, Reference: true}
 }
 
-func (c countingInner) Join(ctx context.Context, a, b []geom.Element, opt engine.Options) (*engine.Result, error) {
-	var pairs []geom.Pair
-	res, err := c.JoinStream(ctx, a, b, opt, func(p geom.Pair) error { pairs = append(pairs, p); return nil })
-	if err != nil {
-		return nil, err
-	}
-	if !opt.DiscardPairs {
-		res.Pairs = pairs
-	}
-	return res, nil
-}
-
 func (c countingInner) JoinStream(ctx context.Context, a, b []geom.Element, opt engine.Options, emit engine.EmitFunc) (*engine.Result, error) {
 	a, b, _, err := engine.Prepare(ctx, a, b, opt)
 	if err != nil {
@@ -118,16 +106,18 @@ func TestStreamBoundedBuffering(t *testing.T) {
 	// Collected run first: totals (unique pairs + dedup drops) tell us what
 	// "ran to completion" would mean for the stalled run below.
 	sh := shard.New("counting-naive")
-	collected, err := sh.Join(context.Background(), enginetest.Copy(a), enginetest.Copy(b),
-		engine.Options{ShardTiles: tiles, Parallelism: workers})
+	var pairs []geom.Pair
+	collected, err := sh.JoinStream(context.Background(), enginetest.Copy(a), enginetest.Copy(b),
+		engine.Options{ShardTiles: tiles, Parallelism: workers},
+		func(p geom.Pair) error { pairs = append(pairs, p); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !naive.Equal(enginetest.CopyPairs(collected.Pairs), enginetest.CopyPairs(reference)) {
+	if !naive.Equal(enginetest.CopyPairs(pairs), enginetest.CopyPairs(reference)) {
 		t.Fatalf("collected shard(counting-naive) diverges from naive: %d vs %d pairs",
-			len(collected.Pairs), len(reference))
+			len(pairs), len(reference))
 	}
-	total := uint64(len(collected.Pairs)) + collected.Stats.Shard.DedupDropped
+	total := uint64(len(pairs)) + collected.Stats.Shard.DedupDropped
 	// The budget the stalled engine may not exceed: delivered pairs + full
 	// channel + one in-hand pair per worker + the dedup-dropped boundary
 	// duplicates (discarded, never buffered).

@@ -229,12 +229,14 @@ func TestEngineFaultFreePassthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := sc.Engine("fi-test-passthrough", engine.Transformers)
-	res, err := e.Join(context.Background(), a, b, engine.Options{})
+	var pairs []geom.Pair
+	res, err := e.JoinStream(context.Background(), a, b, engine.Options{},
+		func(p geom.Pair) error { pairs = append(pairs, p); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !naive.Equal(append([]geom.Pair(nil), res.Pairs...), want) {
-		t.Fatalf("pass-through join: %d pairs, want %d", len(res.Pairs), len(want))
+	if !naive.Equal(pairs, want) {
+		t.Fatalf("pass-through join: %d pairs, want %d", len(pairs), len(want))
 	}
 	if res.Engine != "fi-test-passthrough" {
 		t.Fatalf("result engine = %q", res.Engine)
@@ -243,6 +245,9 @@ func TestEngineFaultFreePassthrough(t *testing.T) {
 		t.Fatal("capabilities differ from inner engine")
 	}
 }
+
+// discard is the emit of joins whose pairs the test does not inspect.
+func discard(geom.Pair) error { return nil }
 
 func mustGet(t *testing.T, name string) engine.Joiner {
 	t.Helper()
@@ -257,7 +262,7 @@ func TestEngineEmitError(t *testing.T) {
 	a, b := joinInputs()
 	sc := New(Fault{Op: OpEmitError, After: 10, Times: 1})
 	e := sc.Engine("fi-test-emit", engine.Transformers)
-	_, err := e.Join(context.Background(), a, b, engine.Options{})
+	_, err := e.JoinStream(context.Background(), a, b, engine.Options{}, discard)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
@@ -271,7 +276,7 @@ func TestEngineStallUnblocksOnCancel(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.Join(ctx, a, b, engine.Options{})
+		_, err := e.JoinStream(ctx, a, b, engine.Options{}, discard)
 		done <- err
 	}()
 	select {

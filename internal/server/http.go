@@ -300,9 +300,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// errTooManyPairs aborts a non-stream include_pairs join whose result
+// outgrows JoinCache.MaxPairs: a collected response is bounded, a stream is
+// not.
+var errTooManyPairs = errors.New("too many pairs for a collected response")
+
 // statusOf maps service errors onto HTTP status codes: 429 for a shed
 // request (back off your traffic — the daemon is fine), 503 for global
-// saturation, 504 for an expired request deadline.
+// saturation, 504 for an expired request deadline, 413 for an include_pairs
+// result past the collected-response cap.
 func statusOf(err error) int {
 	switch {
 	case errors.Is(err, ErrUnknownDataset):
@@ -315,6 +321,8 @@ func statusOf(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
+	case errors.Is(err, errTooManyPairs):
+		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusInternalServerError
 }
@@ -500,14 +508,44 @@ func handleJoin(svc *Service, w http.ResponseWriter, r *http.Request, distance b
 	echo := wantTrace(req, r)
 	tenant := tenantFromHeaders(r).ID
 
-	if req.Stream {
-		streamJoin(svc, ctx, w, r, req, params, rid, tr, echo, distance)
-		return
+	// One execution path for every response shape; only the consumer of the
+	// pairs differs. A plain /join counts them (summary.results reports
+	// them), include_pairs collects them up to the cache's per-entry
+	// threshold, and a stream writes them out as they surface.
+	n := 0
+	emit := func(transformers.Pair) error { n++; return nil }
+	var stream *ndjsonStream
+	var pairs []pairDTO
+	switch {
+	case req.Stream:
+		stream = newNDJSONStream(w)
+		defer stream.close()
+		emit = func(p transformers.Pair) error {
+			if err := stream.pair(p, n); err != nil {
+				return err
+			}
+			n++
+			return nil
+		}
+	case req.IncludePairs:
+		maxPairs := svc.cache.MaxPairs()
+		emit = func(p transformers.Pair) error {
+			if n == maxPairs {
+				return fmt.Errorf("%w: result exceeds %d pairs; request \"stream\": true instead", errTooManyPairs, maxPairs)
+			}
+			pairs = append(pairs, pairDTO{A: p.A, B: p.B})
+			n++
+			return nil
+		}
 	}
 	start := time.Now()
-	out, err := svc.Join(ctx, req.A, req.B, params)
+	out, err := svc.join(ctx, req.A, req.B, params, req.Stream, emit)
 	wall := time.Since(start)
 	dto := tr.Finish()
+	var echoed *obs.TraceDTO
+	if echo {
+		echoed = dto
+	}
 	rec := obs.JoinRecord{
 		Time:      time.Now(),
 		RequestID: rid,
@@ -516,34 +554,35 @@ func handleJoin(svc *Service, w http.ResponseWriter, r *http.Request, distance b
 		B:         req.B,
 		Predicate: predicateOf(distance),
 		Outcome:   outcomeOf(err),
+		Pairs:     int64(n),
 		WallMS:    float64(wall.Microseconds()) / 1000,
 		Trace:     dto,
 	}
-	if err != nil {
-		var echoed *obs.TraceDTO
-		if echo {
-			echoed = dto
-		}
+	if err != nil && (stream == nil || !stream.started) {
 		rec.Status = writeError(w, err, rid, echoed)
 		svc.observeJoin(rec, wall)
 		return
 	}
 	rec.Status = http.StatusOK
+	if err != nil {
+		// The status line is gone; the NDJSON trailer carries the error. A
+		// plain error after pairs flowed means the consumer saw a truncated
+		// stream — record it as aborted.
+		if rec.Outcome == "error" {
+			rec.Outcome = "aborted"
+		}
+		svc.observeJoin(rec, wall)
+		stream.trailer(streamTrailer{RequestID: rid, Error: err.Error(), Aborted: true, Pairs: n, Trace: echoed})
+		return
+	}
 	rec.Engine = out.Summary.Algorithm
 	rec.Cached = out.Cached
-	rec.Pairs = int64(out.Summary.Results)
 	svc.observeJoin(rec, wall)
-	resp := joinResponse{A: req.A, B: req.B, RequestID: rid, Cached: out.Cached, Summary: out.Summary}
-	if echo {
-		resp.Trace = dto
+	if stream != nil {
+		stream.trailer(streamTrailer{Summary: &out.Summary, RequestID: rid, Cached: out.Cached, Pairs: n, Trace: echoed})
+		return
 	}
-	if req.IncludePairs {
-		resp.Pairs = make([]pairDTO, len(out.Pairs))
-		for i, p := range out.Pairs {
-			resp.Pairs[i] = pairDTO{A: p.A, B: p.B}
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, joinResponse{A: req.A, B: req.B, RequestID: rid, Cached: out.Cached, Summary: out.Summary, Pairs: pairs, Trace: echoed})
 }
 
 // streamFlushEvery is the pair interval between explicit flushes of a
@@ -578,105 +617,81 @@ type streamTrailer struct {
 	Trace     *obs.TraceDTO `json:"trace,omitempty"`
 }
 
-// streamJoin runs the join through the service's streaming path and writes
-// NDJSON as pairs surface: one pair object per line, then one final trailer
-// line. Writes happen under the engine's backpressure — a slow consumer
-// slows the join instead of growing a buffer — and a failed write (client
-// gone) aborts the underlying join. Errors before the first pair still get a
-// proper HTTP status; later ones are reported in the trailer with
-// aborted:true, so clients can always distinguish truncation from
-// completion.
-func streamJoin(svc *Service, ctx context.Context, w http.ResponseWriter, r *http.Request, req joinRequest, params JoinParams, rid string, tr *obs.Trace, echo bool, distance bool) {
+// ndjsonStream writes a streamed join response: one pair object per line as
+// pairs surface, then one final trailer line. Writes happen under the
+// engine's backpressure — a slow consumer slows the join instead of growing
+// a buffer — and a failed write (client gone) aborts the underlying join.
+// Errors before the first pair still get a proper HTTP status; later ones
+// are reported in the trailer with aborted:true, so clients can always
+// distinguish truncation from completion.
+type ndjsonStream struct {
+	w       http.ResponseWriter
+	bw      *bufio.Writer
+	enc     *json.Encoder
+	flusher http.Flusher
+	rc      *http.ResponseController
+	started bool
+}
+
+func newNDJSONStream(w http.ResponseWriter) *ndjsonStream {
 	bw := bufio.NewWriterSize(w, 64<<10)
 	flusher, _ := w.(http.Flusher)
-	rc := http.NewResponseController(w)
-	// Rolling write deadline: armed before the response starts and re-armed
-	// at every explicit flush, it also bounds the bufio layer's implicit
-	// flushes in between. Best-effort — writers without deadline support
-	// (tests, exotic middleware) just decline.
-	arm := func() { _ = rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout)) }
-	// Clear the deadline on every exit: the server has no WriteTimeout, so
-	// net/http will not re-arm it between requests, and a stale deadline
-	// would time out the keep-alive connection's next response.
-	defer func() { _ = rc.SetWriteDeadline(time.Time{}) }()
-	enc := json.NewEncoder(bw)
-	started := false
-	start := func() {
-		if !started {
-			arm()
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			started = true
-		}
+	return &ndjsonStream{w: w, bw: bw, enc: json.NewEncoder(bw), flusher: flusher, rc: http.NewResponseController(w)}
+}
+
+// arm sets the rolling write deadline: armed before the response starts and
+// re-armed at every explicit flush, it also bounds the bufio layer's
+// implicit flushes in between. Best-effort — writers without deadline
+// support (tests, exotic middleware) just decline.
+func (s *ndjsonStream) arm() { _ = s.rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout)) }
+
+// close clears the deadline: the server has no WriteTimeout, so net/http
+// will not re-arm it between requests, and a stale deadline would time out
+// the keep-alive connection's next response.
+func (s *ndjsonStream) close() { _ = s.rc.SetWriteDeadline(time.Time{}) }
+
+// begin sends the status line on the first write.
+func (s *ndjsonStream) begin() {
+	if !s.started {
+		s.arm()
+		s.w.Header().Set("Content-Type", "application/x-ndjson")
+		s.w.WriteHeader(http.StatusOK)
+		s.started = true
 	}
-	n := 0
-	begin := time.Now()
-	out, err := svc.JoinStream(ctx, req.A, req.B, params, func(p transformers.Pair) error {
-		start()
-		if err := enc.Encode(pairDTO{A: p.A, B: p.B}); err != nil {
-			return err
-		}
-		n++
-		if n%streamFlushEvery == 0 {
-			arm()
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		return nil
-	})
-	wall := time.Since(begin)
-	dto := tr.Finish()
-	var echoed *obs.TraceDTO
-	if echo {
-		echoed = dto
+}
+
+// pair writes one pair line; sent is the number of lines before it.
+func (s *ndjsonStream) pair(p transformers.Pair, sent int) error {
+	s.begin()
+	if err := s.enc.Encode(pairDTO{A: p.A, B: p.B}); err != nil {
+		return err
 	}
-	rec := obs.JoinRecord{
-		Time:      time.Now(),
-		RequestID: rid,
-		Tenant:    tenantFromHeaders(r).ID,
-		A:         req.A,
-		B:         req.B,
-		Predicate: predicateOf(distance),
-		Outcome:   outcomeOf(err),
-		Pairs:     int64(n),
-		WallMS:    float64(wall.Microseconds()) / 1000,
-		Trace:     dto,
+	if (sent+1)%streamFlushEvery == 0 {
+		s.arm()
+		return s.flush()
 	}
-	if err != nil {
-		if !started {
-			rec.Status = writeError(w, err, rid, echoed)
-			svc.observeJoin(rec, wall)
-			return
-		}
-		// The status line is gone; the NDJSON trailer carries the error. A
-		// plain error after pairs flowed means the consumer saw a truncated
-		// stream — record it as aborted. Re-arm first — the last deadline
-		// may predate a long pair-free stretch.
-		if rec.Outcome == "error" {
-			rec.Outcome = "aborted"
-		}
-		rec.Status = http.StatusOK
-		svc.observeJoin(rec, wall)
-		arm()
-		_ = enc.Encode(streamTrailer{RequestID: rid, Error: err.Error(), Aborted: true, Pairs: n, Trace: echoed})
-		_ = bw.Flush()
-		return
+	return nil
+}
+
+// trailer ends the stream (a zero-pair join still answers with one). It
+// re-arms first — the last deadline may predate a long pair-free stretch.
+// Write errors are dropped: the response is complete either way.
+func (s *ndjsonStream) trailer(t streamTrailer) {
+	s.begin()
+	s.arm()
+	_ = s.enc.Encode(t)
+	_ = s.flush()
+}
+
+// flush pushes the buffered lines through to the client.
+func (s *ndjsonStream) flush() error {
+	if err := s.bw.Flush(); err != nil {
+		return err
 	}
-	rec.Status = http.StatusOK
-	rec.Engine = out.Summary.Algorithm
-	rec.Cached = out.Cached
-	svc.observeJoin(rec, wall)
-	start() // a zero-pair join still answers with the NDJSON trailer
-	arm()
-	_ = enc.Encode(streamTrailer{Summary: &out.Summary, RequestID: rid, Cached: out.Cached, Pairs: n, Trace: echoed})
-	_ = bw.Flush()
-	if flusher != nil {
-		flusher.Flush()
+	if s.flusher != nil {
+		s.flusher.Flush()
 	}
+	return nil
 }
 
 func handleRange(svc *Service, w http.ResponseWriter, r *http.Request) {

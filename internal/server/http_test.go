@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/naive"
+	"repro/internal/obs"
 	"repro/transformers"
 )
 
@@ -116,6 +117,139 @@ func TestHTTPJoinCacheHit(t *testing.T) {
 	code, rev := postJSON(t, ts.URL+"/join", `{"a":"b","b":"a"}`)
 	if code != http.StatusOK || rev["cached"] != false {
 		t.Fatalf("reversed join: code=%d cached=%v", code, rev["cached"])
+	}
+}
+
+// TestHTTPIncludePairsCap: a non-stream /join materializes pairs only for
+// include_pairs, and only up to the cache's per-entry threshold — past it the
+// join aborts with 413 (slot released), while a count-only /join of the same
+// result still answers 200 with the exact summary.
+func TestHTTPIncludePairsCap(t *testing.T) {
+	const maxPairs = 1000
+	ts, svc := newTestServer(t, Config{CacheMaxPairs: maxPairs})
+	small := transformers.GenerateUniform(200, 71)
+	large := bigOverlapDataset(300, 72)
+	addDataset(t, svc, "small", small)
+	addDataset(t, svc, "large", large)
+	wantSmall := naive.Join(small, small)
+	wantLarge := naive.Join(large, large)
+	if len(wantSmall) > maxPairs || len(wantLarge) <= maxPairs {
+		t.Fatalf("workload does not straddle the cap: %d and %d pairs, cap %d", len(wantSmall), len(wantLarge), maxPairs)
+	}
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		want       []transformers.Pair // nil: pairs not requested
+		results    int
+	}{
+		{"include_pairs under cap", `{"a":"small","b":"small","include_pairs":true}`, http.StatusOK, wantSmall, len(wantSmall)},
+		{"include_pairs over cap", `{"a":"large","b":"large","include_pairs":true}`, http.StatusRequestEntityTooLarge, nil, 0},
+		{"count over cap", `{"a":"large","b":"large"}`, http.StatusOK, nil, len(wantLarge)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/join", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var doc struct {
+				Error   string      `json:"error"`
+				Summary JoinSummary `json:"summary"`
+				Pairs   []pairDTO   `json:"pairs"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status = %d, want %d (error %q, %d pairs)", resp.StatusCode, tc.status, doc.Error, len(doc.Pairs))
+			}
+			if tc.status != http.StatusOK {
+				if !strings.Contains(doc.Error, `"stream": true`) {
+					t.Errorf("error %q lacks the stream hint", doc.Error)
+				}
+				waitPoolDrained(t, svc)
+				return
+			}
+			if int(doc.Summary.Results) != tc.results {
+				t.Errorf("summary.results = %d, want %d", doc.Summary.Results, tc.results)
+			}
+			got := make([]transformers.Pair, len(doc.Pairs))
+			for i, p := range doc.Pairs {
+				got[i] = transformers.Pair{A: p.A, B: p.B}
+			}
+			if tc.want == nil && len(got) != 0 || tc.want != nil && !naive.Equal(got, tc.want) {
+				t.Errorf("pairs: got %d, want %d", len(got), len(tc.want))
+			}
+		})
+	}
+}
+
+// TestHTTPJoinRecordSameForCollectedAndStreamed: the collected and the
+// streamed response of the same join run one execution path, so their
+// /debug/joins records agree on everything but identity and timing — live
+// and replayed from the cache, for both predicates.
+func TestHTTPJoinRecordSameForCollectedAndStreamed(t *testing.T) {
+	ts, svc := newTestServer(t, Config{SlowJoinThreshold: -1})
+	addDataset(t, svc, "a", bigOverlapDataset(400, 81))
+	addDataset(t, svc, "b", bigOverlapDataset(400, 82))
+	post := func(rid, path, body string) {
+		t.Helper()
+		req, err := http.NewRequest("POST", ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Request-ID", rid)
+		req.Header.Set("X-Tenant", "acme")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", rid, resp.StatusCode)
+		}
+	}
+	post("warm", "/join", `{"a":"a","b":"b"}`) // fills the cache
+	cases := []struct{ name, path, body string }{
+		{"cached", "/join", `{"a":"a","b":"b"`},
+		{"live", "/join", `{"a":"a","b":"b","no_cache":true`},
+		{"distance", "/join/distance", `{"a":"a","b":"b","distance":4,"no_cache":true`},
+	}
+	for _, tc := range cases {
+		post(tc.name+"-collected", tc.path, tc.body+"}")
+		post(tc.name+"-streamed", tc.path, tc.body+`,"stream":true}`)
+	}
+
+	resp, err := http.Get(ts.URL + "/debug/joins")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc debugJoinsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	byID := map[string]obs.JoinRecord{}
+	for _, r := range doc.Joins {
+		byID[r.RequestID] = r
+	}
+	type fields struct {
+		Engine, Outcome, Predicate, Tenant string
+		Cached                             bool
+		Pairs                              int64
+	}
+	of := func(r obs.JoinRecord) fields {
+		return fields{r.Engine, r.Outcome, r.Predicate, r.Tenant, r.Cached, r.Pairs}
+	}
+	for _, tc := range cases {
+		c, s := of(byID[tc.name+"-collected"]), of(byID[tc.name+"-streamed"])
+		if c != s {
+			t.Errorf("%s: collected record %+v, streamed %+v", tc.name, c, s)
+		}
+		if c.Outcome != "ok" || c.Tenant != "acme" || c.Pairs == 0 || c.Cached != (tc.name == "cached") {
+			t.Errorf("%s: record %+v", tc.name, c)
+		}
 	}
 }
 

@@ -723,16 +723,11 @@ func (s *Service) priceJoin(a, b string, distance float64, jp *joinPlan) {
 	}
 }
 
-// execFunc runs the resolved engine on prepared inputs — engine.Run for the
-// collected path, engine.RunStream with a consumer emit for the streaming
-// one.
-type execFunc func(ctx context.Context, algo string, ea, eb []transformers.Element, opt engine.Options) (*engine.Result, error)
-
 // admitted runs fn inside one pool slot, bracketing the queue wait with an
 // "admission-wait" span (queue depth and slot cost at arrival) and the slot
 // time with a top-level "execute" span whose context fn receives, so engine
 // and catalog spans nest under it. The execute span is returned (nil when
-// untraced or never admitted) so the streaming path can attach its emit
+// untraced or never admitted) so a streaming join can attach its emit
 // record to it after the fact.
 func (s *Service) admitted(ctx context.Context, cost int, fn func(ctx context.Context) error) (*obs.Span, error) {
 	_, wait := obs.Start(ctx, "admission-wait")
@@ -757,8 +752,9 @@ func (s *Service) admitted(ctx context.Context, cost int, fn func(ctx context.Co
 // builds acquisition can trigger (a distance join builds expanded variants
 // of both sides, §VIII) and the per-request builds of non-catalog engines.
 // Waiting on another request's in-flight build consumes this slot but never
-// needs a second one, so slots cannot deadlock.
-func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp joinPlan, exec execFunc) (*engine.Result, JoinKey, bool, *DeltaSummary, *obs.Span, error) {
+// needs a second one, so slots cannot deadlock. Every pair, delta sub-joins
+// included, goes through emit; the returned Result carries Stats only.
+func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp joinPlan, emit engine.EmitFunc) (*engine.Result, JoinKey, bool, *DeltaSummary, *obs.Span, error) {
 	var res *engine.Result
 	var key JoinKey
 	var stale bool
@@ -792,14 +788,14 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 			baseA, deltaA, epochA := s.cat.DeltaView(ha)
 			baseB, deltaB, epochB := s.cat.DeltaView(hb)
 			key = joinKey(a, b, ha.Version, hb.Version, epochA, epochB, p.Distance, jp.algo, jp.keyTiles)
-			res, err = exec(ctx, jp.algo, nil, nil, engine.Options{
+			res, err = engine.RunStream(ctx, jp.algo, nil, nil, engine.Options{
 				Parallelism: jp.parallelism,
 				Concurrent:  true,
 				PageSize:    s.cfg.PageSize,
 				Prebuilt:    &engine.Prebuilt{A: ha.Index.Core(), B: hb.Index.Core()},
-			})
+			}, emit)
 			if err == nil && len(deltaA)+len(deltaB) > 0 {
-				delta, err = s.deltaJoin(ctx, res, baseA, baseB, deltaA, deltaB, p, jp, exec)
+				delta, err = s.deltaJoin(ctx, res, baseA, baseB, deltaA, deltaB, p, jp, emit)
 			}
 			return err
 		})
@@ -818,12 +814,12 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 				return err
 			}
 			key = joinKey(a, b, verA, verB, epochA, epochB, p.Distance, jp.algo, jp.keyTiles)
-			res, err = exec(ctx, jp.algo, ea, eb, engine.Options{
+			res, err = engine.RunStream(ctx, jp.algo, ea, eb, engine.Options{
 				Distance:    p.Distance,
 				Parallelism: jp.parallelism,
 				PageSize:    s.cfg.PageSize,
 				ShardTiles:  jp.execTiles,
-			})
+			}, emit)
 			if err == nil && dlA+dlB > 0 {
 				delta = &DeltaSummary{ElementsA: dlA, ElementsB: dlB}
 				s.deltaJoins.Add(1)
@@ -839,14 +835,14 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 
 // deltaJoin composes the append-delta sub-joins of one prebuilt-path join:
 // base×delta, delta×base and delta×delta run through the inmem engine on the
-// pinned generation's snapshot, through the same exec seam as the base join —
-// so the streaming path's tee and emit apply to delta pairs exactly as to
-// base pairs. The three sub-joins partition the non-base×base pairs of
-// (baseA ∪ deltaA)×(baseB ∪ deltaB), so the composed result is multiset-equal
-// to a full rebuild by construction; empty sides are skipped. Distance joins
-// pass Options.Distance so the inmem engine expands the delta inputs exactly
-// as the catalog pre-expanded the base indexes.
-func (s *Service) deltaJoin(ctx context.Context, res *engine.Result, baseA, baseB, deltaA, deltaB []transformers.Element, p JoinParams, jp joinPlan, exec execFunc) (*DeltaSummary, error) {
+// pinned generation's snapshot, through the same emit as the base join — so
+// the cache-fill tee and the consumer see delta pairs exactly as base pairs.
+// The three sub-joins partition the non-base×base pairs of (baseA ∪
+// deltaA)×(baseB ∪ deltaB), so the composed result is multiset-equal to a
+// full rebuild by construction; empty sides are skipped. Distance joins pass
+// Options.Distance so the inmem engine expands the delta inputs exactly as
+// the catalog pre-expanded the base indexes.
+func (s *Service) deltaJoin(ctx context.Context, res *engine.Result, baseA, baseB, deltaA, deltaB []transformers.Element, p JoinParams, jp joinPlan, emit engine.EmitFunc) (*DeltaSummary, error) {
 	dctx, span := obs.Start(ctx, "delta-join")
 	sum := &DeltaSummary{ElementsA: len(deltaA), ElementsB: len(deltaB)}
 	opt := engine.Options{
@@ -863,12 +859,11 @@ func (s *Service) deltaJoin(ctx context.Context, res *engine.Result, baseA, base
 		if len(sj.ea) == 0 || len(sj.eb) == 0 {
 			continue
 		}
-		sub, err := exec(dctx, engine.InMem, sj.ea, sj.eb, opt)
+		sub, err := engine.RunStream(dctx, engine.InMem, sj.ea, sj.eb, opt, emit)
 		if err != nil {
 			span.End()
 			return nil, err
 		}
-		res.Pairs = append(res.Pairs, sub.Pairs...)
 		mergeDeltaStats(&res.Stats, sub.Stats)
 		pairs += sub.Stats.Refinements
 		sum.SubJoins++
@@ -919,49 +914,20 @@ func (s *Service) summarize(algo string, res *engine.Result) JoinSummary {
 }
 
 // Join runs (or serves from cache) the join of datasets a and b through the
-// requested (or planned) engine. Pair orientation follows the argument
-// order. The returned pair slice may be shared with the cache — callers must
-// not mutate it.
+// requested (or planned) engine and collects the result. Pair orientation
+// follows the argument order. It is the collector over the same body
+// JoinStream runs, so it does not count as a streaming consumer in /stats.
 func (s *Service) Join(ctx context.Context, a, b string, p JoinParams) (*JoinOutcome, error) {
-	start := time.Now()
-	_, planSpan := obs.Start(ctx, "plan")
-	jp, err := s.planJoin(a, b, p)
-	planSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	annotatePlan(planSpan, jp)
-	if !p.NoCache {
-		_, cacheSpan := obs.Start(ctx, "cache")
-		res, ok := s.cache.Get(joinKey(a, b, jp.va, jp.vb, jp.ea, jp.eb, p.Distance, jp.algo, jp.keyTiles))
-		cacheSpan.End()
-		if ok {
-			cacheSpan.Add("hit", 1)
-			summary := res.Summary
-			summary.Planner = jp.plan // report this request's planning, not the filler's
-			s.recordPlannerSample(ctx, a, b, p, jp, summary, time.Since(start), true)
-			return &JoinOutcome{Pairs: res.Pairs, Summary: summary, Cached: true}, nil
-		}
-	}
-	res, key, stale, deltaSum, _, err := s.executeJoin(ctx, a, b, p, jp, func(ctx context.Context, algo string, ea, eb []transformers.Element, opt engine.Options) (*engine.Result, error) {
-		return engine.Run(ctx, algo, ea, eb, opt)
+	var pairs []transformers.Pair
+	out, err := s.join(ctx, a, b, p, false, func(pr transformers.Pair) error {
+		pairs = append(pairs, pr)
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	summary := s.summarize(jp.algo, res)
-	// The delta composition is part of the cached content — the key pins the
-	// epochs it composed at — unlike the planner report and staleness below.
-	summary.Delta = deltaSum
-	if !p.NoCache {
-		// Cache without the planner report or staleness: the key carries the
-		// served versions, and hits splice in their own request context.
-		s.cache.Put(key, &CachedJoin{Pairs: res.Pairs, Summary: summary})
-	}
-	summary.Planner = jp.plan
-	summary.Stale = stale
-	s.recordPlannerSample(ctx, a, b, p, jp, summary, time.Since(start), false)
-	return &JoinOutcome{Pairs: res.Pairs, Summary: summary}, nil
+	out.Pairs = pairs
+	return out, nil
 }
 
 // annotatePlan attaches the resolved plan to the "plan" span; nil-safe.
@@ -1036,6 +1002,16 @@ func (s *Service) datasetFeatures(name string, version uint64) obs.DatasetFeatur
 // canceled) aborts the underlying join and is returned. The returned
 // outcome carries the summary with Pairs nil.
 func (s *Service) JoinStream(ctx context.Context, a, b string, p JoinParams, emit func(transformers.Pair) error) (*JoinOutcome, error) {
+	return s.join(ctx, a, b, p, true, emit)
+}
+
+// join is the one body behind Join and JoinStream: plan, then replay a cache
+// hit through emit or execute the engine with emit teed into a bounded
+// cache-fill buffer, then summarize. streaming marks a streaming consumer:
+// only those advance streamed_pairs and aborted_streams, and only their
+// traced runs get a "stream-emit" record — two clock reads per pair that the
+// collected and count paths never pay.
+func (s *Service) join(ctx context.Context, a, b string, p JoinParams, streaming bool, emit func(transformers.Pair) error) (*JoinOutcome, error) {
 	start := time.Now()
 	_, planSpan := obs.Start(ctx, "plan")
 	jp, err := s.planJoin(a, b, p)
@@ -1044,6 +1020,7 @@ func (s *Service) JoinStream(ctx context.Context, a, b string, p JoinParams, emi
 		return nil, err
 	}
 	annotatePlan(planSpan, jp)
+	var delivered uint64 // pairs emit accepted, live or replayed
 	if !p.NoCache {
 		_, cacheSpan := obs.Start(ctx, "cache")
 		res, ok := s.cache.Get(joinKey(a, b, jp.va, jp.vb, jp.ea, jp.eb, p.Distance, jp.algo, jp.keyTiles))
@@ -1051,20 +1028,25 @@ func (s *Service) JoinStream(ctx context.Context, a, b string, p JoinParams, emi
 		if ok {
 			cacheSpan.Add("hit", 1)
 			_, replay := obs.Start(ctx, "replay")
-			for i, pr := range res.Pairs {
-				if err := emit(pr); err != nil {
-					replay.End()
-					replay.Add("pairs", int64(i))
-					s.streamedPairs.Add(uint64(i))
-					s.abortedStreams.Add(1)
-					return nil, err
+			for _, pr := range res.Pairs {
+				if err = emit(pr); err != nil {
+					break
 				}
+				delivered++
 			}
 			replay.End()
-			replay.Add("pairs", int64(len(res.Pairs)))
-			s.streamedPairs.Add(uint64(len(res.Pairs)))
+			replay.Add("pairs", int64(delivered))
+			if streaming {
+				s.streamedPairs.Add(delivered)
+				if err != nil {
+					s.abortedStreams.Add(1)
+				}
+			}
+			if err != nil {
+				return nil, err
+			}
 			summary := res.Summary
-			summary.Planner = jp.plan
+			summary.Planner = jp.plan // report this request's planning, not the filler's
 			s.recordPlannerSample(ctx, a, b, p, jp, summary, time.Since(start), true)
 			return &JoinOutcome{Summary: summary, Cached: true}, nil
 		}
@@ -1076,56 +1058,56 @@ func (s *Service) JoinStream(ctx context.Context, a, b string, p JoinParams, emi
 	maxCache := s.cache.MaxPairs()
 	caching := !p.NoCache
 	var buf []transformers.Pair
-	var streamed uint64
 	emitFailed := false
-	// When traced, the accumulated time spent inside the consumer's emit is
-	// attached to the execute span afterwards as one "stream-emit" child —
-	// two clock reads per pair, and none at all untraced.
-	traced := obs.Enabled(ctx)
+	timed := streaming && obs.Enabled(ctx)
 	var emitDur time.Duration
-	res, key, stale, deltaSum, exSpan, err := s.executeJoin(ctx, a, b, p, jp, func(ctx context.Context, algo string, ea, eb []transformers.Element, opt engine.Options) (*engine.Result, error) {
-		return engine.RunStream(ctx, algo, ea, eb, opt, func(pr transformers.Pair) error {
-			if caching {
-				if len(buf) < maxCache {
-					buf = append(buf, pr)
-				} else {
-					caching, buf = false, nil // over threshold: never cached
-				}
-			}
-			var emitErr error
-			if traced {
-				t0 := time.Now()
-				emitErr = emit(pr)
-				emitDur += time.Since(t0)
+	res, key, stale, deltaSum, exSpan, err := s.executeJoin(ctx, a, b, p, jp, func(pr transformers.Pair) error {
+		if caching {
+			if len(buf) < maxCache {
+				buf = append(buf, pr)
 			} else {
-				emitErr = emit(pr)
+				caching, buf = false, nil // over threshold: never cached
 			}
-			if emitErr != nil {
-				emitFailed = true
-				return emitErr
-			}
-			streamed++ // delivered pairs only, like the cache-replay path
-			return nil
-		})
+		}
+		var emitErr error
+		if timed {
+			t0 := time.Now()
+			emitErr = emit(pr)
+			emitDur += time.Since(t0)
+		} else {
+			emitErr = emit(pr)
+		}
+		if emitErr != nil {
+			emitFailed = true
+			return emitErr
+		}
+		delivered++
+		return nil
 	})
-	if exSpan != nil {
-		exSpan.Record("stream-emit", emitDur).Add("pairs", int64(streamed))
-	}
-	s.streamedPairs.Add(streamed)
-	if err != nil {
+	if streaming {
+		if exSpan != nil {
+			exSpan.Record("stream-emit", emitDur).Add("pairs", int64(delivered))
+		}
+		s.streamedPairs.Add(delivered)
 		// aborted_streams means the consumer ended a stream that had begun:
 		// its emit failed, or its context went away after pairs flowed.
 		// Server-side execution failures and cancellations before the first
 		// pair (e.g. a client giving up while queued) are not aborts.
 		ctxGone := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-		if emitFailed || (streamed > 0 && ctxGone) {
+		if err != nil && (emitFailed || (delivered > 0 && ctxGone)) {
 			s.abortedStreams.Add(1)
 		}
+	}
+	if err != nil {
 		return nil, err
 	}
 	summary := s.summarize(jp.algo, res)
+	// The delta composition is part of the cached content — the key pins the
+	// epochs it composed at — unlike the planner report and staleness below.
 	summary.Delta = deltaSum
 	if caching {
+		// Cache without the planner report or staleness: the key carries the
+		// served versions, and hits splice in their own request context.
 		s.cache.Put(key, &CachedJoin{Pairs: buf, Summary: summary})
 	}
 	summary.Planner = jp.plan

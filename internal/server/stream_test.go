@@ -41,47 +41,75 @@ func addDataset(t *testing.T, svc *Service, name string, elems []transformers.El
 
 // TestServiceJoinStreamMatchesJoin: the streamed pair sequence must be the
 // collected result exactly — live on the first call, replayed from the
-// cache on the second — and the /stats streaming counters must advance.
+// cache on the second — and the /stats streaming counters must advance for
+// streams only, never for the collected Join. The overlapping input gives
+// the counters pairs to count; the first has none.
 func TestServiceJoinStreamMatchesJoin(t *testing.T) {
-	svc := NewService(Config{})
-	a := transformers.GenerateUniform(1500, 61)
-	b := transformers.GenerateDenseCluster(1500, 62)
-	want := naive.Join(append([]transformers.Element(nil), a...), append([]transformers.Element(nil), b...))
-	addDataset(t, svc, "a", a)
-	addDataset(t, svc, "b", b)
+	for _, in := range []struct {
+		name string
+		a, b []transformers.Element
+	}{
+		{"uniform-dense", transformers.GenerateUniform(1500, 61), transformers.GenerateDenseCluster(1500, 62)},
+		{"overlapping", bigOverlapDataset(600, 63), bigOverlapDataset(600, 64)},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			svc := NewService(Config{})
+			a, b := in.a, in.b
+			want := naive.Join(append([]transformers.Element(nil), a...), append([]transformers.Element(nil), b...))
+			addDataset(t, svc, "a", a)
+			addDataset(t, svc, "b", b)
 
-	collect := func() ([]transformers.Pair, *JoinOutcome) {
-		var got []transformers.Pair
-		out, err := svc.JoinStream(context.Background(), "a", "b", JoinParams{},
-			func(p transformers.Pair) error { got = append(got, p); return nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got, out
-	}
-	got, out := collect()
-	if out.Cached {
-		t.Fatal("first stream reported cached")
-	}
-	if !naive.Equal(got, append([]transformers.Pair(nil), want...)) {
-		t.Fatalf("streamed %d pairs, naive has %d — set diverges", len(got), len(want))
-	}
-	if out.Pairs != nil {
-		t.Fatal("streaming outcome materialized pairs")
-	}
-	got2, out2 := collect()
-	if !out2.Cached {
-		t.Fatal("second stream missed the cache")
-	}
-	if !naive.Equal(got2, append([]transformers.Pair(nil), want...)) {
-		t.Fatal("cache replay diverges from live stream")
-	}
-	st := svc.Stats()
-	if st.StreamedPairs != uint64(2*len(want)) {
-		t.Fatalf("streamed_pairs = %d, want %d", st.StreamedPairs, 2*len(want))
-	}
-	if st.AbortedStreams != 0 {
-		t.Fatalf("aborted_streams = %d, want 0", st.AbortedStreams)
+			collect := func() ([]transformers.Pair, *JoinOutcome) {
+				var got []transformers.Pair
+				out, err := svc.JoinStream(context.Background(), "a", "b", JoinParams{},
+					func(p transformers.Pair) error { got = append(got, p); return nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return got, out
+			}
+			got, out := collect()
+			if out.Cached {
+				t.Fatal("first stream reported cached")
+			}
+			if !naive.Equal(got, append([]transformers.Pair(nil), want...)) {
+				t.Fatalf("streamed %d pairs, naive has %d — set diverges", len(got), len(want))
+			}
+			if out.Pairs != nil {
+				t.Fatal("streaming outcome materialized pairs")
+			}
+			got2, out2 := collect()
+			if !out2.Cached {
+				t.Fatal("second stream missed the cache")
+			}
+			if !naive.Equal(got2, append([]transformers.Pair(nil), want...)) {
+				t.Fatal("cache replay diverges from live stream")
+			}
+			st := svc.Stats()
+			if st.StreamedPairs != uint64(2*len(want)) {
+				t.Fatalf("streamed_pairs = %d, want %d", st.StreamedPairs, 2*len(want))
+			}
+			if st.AbortedStreams != 0 {
+				t.Fatalf("aborted_streams = %d, want 0", st.AbortedStreams)
+			}
+
+			// The collected Service.Join runs the same body, replayed and live, but
+			// is no streaming consumer: the streaming counters must not move.
+			for _, p := range []JoinParams{{}, {NoCache: true}} {
+				out, err := svc.Join(context.Background(), "a", "b", p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out.Cached == p.NoCache || !naive.Equal(out.Pairs, append([]transformers.Pair(nil), want...)) {
+					t.Fatalf("collected join (%+v): cached=%v, %d pairs, want %d", p, out.Cached, len(out.Pairs), len(want))
+				}
+			}
+			if after := svc.Stats(); after.StreamedPairs != st.StreamedPairs || after.AbortedStreams != st.AbortedStreams {
+				t.Fatalf("collected joins moved the streaming counters: streamed_pairs %d -> %d, aborted_streams %d -> %d",
+					st.StreamedPairs, after.StreamedPairs, st.AbortedStreams, after.AbortedStreams)
+			}
+
+		})
 	}
 }
 
