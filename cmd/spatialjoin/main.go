@@ -7,7 +7,6 @@
 //	spatialjoin -algo transformers -a uniform:100000 -b massive:100000
 //	spatialjoin -algo pbsm -a dense:50000 -b uniformcluster:50000 -v
 //	spatialjoin -algo all -a axons:60000 -b dendrites:40000
-//	spatialjoin -algo shard-transformers -shard-tiles 8 -a dense:200000 -b uniformcluster:200000
 //	spatialjoin -algo transformers -stream -a massive:100000 -b massive:100000 | wc -l
 //
 // Dataset specs are distribution:count with distributions uniform, dense
@@ -41,8 +40,6 @@ func main() {
 	seedB := flag.Int64("seed-b", 2, "dataset B seed")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"TRANSFORMERS join worker count (1 = paper-faithful single thread)")
-	shardTiles := flag.Int("shard-tiles", 0,
-		"tile count K for the shard-* engines (0 = statistics-driven)")
 	stream := flag.Bool("stream", false,
 		"stream result pairs as NDJSON on stdout as the join finds them (cost report goes to stderr)")
 	verbose := flag.Bool("v", false, "print per-phase I/O detail")
@@ -56,8 +53,7 @@ func main() {
 		// Streaming mode: pairs on stdout (pipe-friendly NDJSON), report on
 		// stderr, memory bounded regardless of result size.
 		streamJoin(*algo, a, b, transformers.RunOptions{
-			ShardTiles: *shardTiles,
-			Join:       transformers.JoinOptions{Parallelism: *parallel},
+			Join: transformers.JoinOptions{Parallelism: *parallel},
 		})
 		return
 	}
@@ -80,18 +76,12 @@ func main() {
 			append([]transformers.Element(nil), a...),
 			append([]transformers.Element(nil), b...),
 			transformers.RunOptions{
-				ShardTiles: *shardTiles,
-				Join:       transformers.JoinOptions{Parallelism: *parallel},
+				Join: transformers.JoinOptions{Parallelism: *parallel},
 			})
 		fatalIf(err)
 		fmt.Printf("%-18s results=%-10d index: %-10v join: %v (in-mem %v + modeled I/O %v)\n",
 			alg, rep.Results, rep.BuildTotal.Round(1e5), rep.JoinTotal.Round(1e5),
 			rep.JoinWall.Round(1e5), rep.JoinIOTime.Round(1e5))
-		if sh := rep.Shard; sh != nil {
-			fmt.Printf("                   shard: inner=%s K=%d (ran %d) workers=%d replicated=%d+%d dedup-drops=%d util=%.0f%%\n",
-				sh.Inner, sh.Tiles, sh.TilesRun, sh.Workers, sh.ReplicatedA, sh.ReplicatedB,
-				sh.DedupDropped, sh.UtilizationPct)
-		}
 		if *verbose {
 			fmt.Printf("                   comparisons=%d meta=%d\n", rep.Comparisons, rep.MetaComps)
 			fmt.Printf("                   build IO: %v\n", rep.BuildIO)

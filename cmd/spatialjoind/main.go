@@ -39,7 +39,7 @@
 //	                     cost constants produced by cmd/plannerfit)
 //
 // Joins are traced end to end (admission wait, planning, catalog access,
-// per-tile execution, stream emission); send X-Trace: 1 or "trace": true to
+// engine execution, stream emission); send X-Trace: 1 or "trace": true to
 // get the span tree back in the response or NDJSON trailer. Every response
 // carries X-Request-ID (honored from the request when present). -debug-addr
 // serves net/http/pprof on a separate listener, kept off the serving port.

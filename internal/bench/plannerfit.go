@@ -51,8 +51,7 @@ func plannerCostMS(res *engine.Result) float64 {
 func runPlannerFit(cfg Config) error {
 	n := cfg.scaled(20 * paperM)
 	algos := cfg.filterAlgos(engine.Names())
-	opt := engine.Options{PBSMTilesPerDim: cfg.pbsmTiles(10), Parallelism: cfg.Parallel,
-		ShardTiles: cfg.ShardTiles}
+	opt := engine.Options{PBSMTilesPerDim: cfg.pbsmTiles(10), Parallelism: cfg.Parallel}
 
 	type cell struct {
 		engine   string
@@ -74,7 +73,7 @@ func runPlannerFit(cfg Config) error {
 	// training measurements become fit rows.
 	var states []*workloadState
 	var fitSamples []planner.FitSample
-	baseCfg := planner.Config{ShardTiles: cfg.ShardTiles, ShardWorkers: cfg.Parallel}
+	baseCfg := planner.Config{}
 	for _, w := range enginesWorkloads(cfg, n) {
 		ws := &workloadState{name: w.name, genA: w.genA, genB: w.genB,
 			sa: planner.Analyze(w.genA()), sb: planner.Analyze(w.genB())}

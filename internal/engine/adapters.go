@@ -26,27 +26,6 @@ const (
 	Naive        = "naive"
 )
 
-// Sharded meta-engine names. The engines themselves live in
-// internal/engine/shard (imported for side effect by the layers above); the
-// names are declared here so the planner can price shard fan-out without
-// importing the meta-engine (which imports the planner).
-const (
-	// ShardPrefix prefixes every sharded meta-engine name; the suffix is
-	// the inner engine that runs per tile.
-	ShardPrefix = "shard-"
-	// ShardTransformers shards the adaptive TRANSFORMERS join.
-	ShardTransformers = ShardPrefix + Transformers
-	// ShardGrid shards the in-memory grid hash join.
-	ShardGrid = ShardPrefix + Grid
-	// ShardInMem shards the cache-resident stripe-partition join.
-	ShardInMem = ShardPrefix + InMem
-)
-
-// ShardMaxTiles is the contract bound on Options.ShardTiles: sharded engines
-// clamp larger pins to it, and layers that key work by the pin (the serving
-// cache) normalize with the same bound so equal executions share entries.
-const ShardMaxTiles = 256
-
 func init() {
 	// Registration order is the wire-visible Names() order: the paper's
 	// presentation order, then the in-memory references.

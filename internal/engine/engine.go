@@ -68,11 +68,6 @@ type Options struct {
 	// RTreeFanout caps R-tree node fanout; page capacity when zero.
 	RTreeFanout int
 
-	// ShardTiles sets the tile count K of sharded meta-engines
-	// ("shard-<inner>"); 0 lets the engine pick K from the datasets'
-	// statistics (planner.ShardTiles). Other engines ignore it.
-	ShardTiles int
-
 	// Prebuilt supplies already-built TRANSFORMERS indexes (the serving
 	// catalog reuses them across joins); only the transformers engine
 	// honors it, and it then ignores the raw element inputs entirely.
@@ -139,10 +134,6 @@ type Stats struct {
 	// transformers engine ran (zero value otherwise).
 	Transformers core.JoinStats `json:"-"`
 
-	// Shard carries the fan-out record when a sharded meta-engine ran
-	// (nil otherwise).
-	Shard *ShardStats `json:"shard,omitempty"`
-
 	// InMem carries the stripe-partition record when the in-memory engine
 	// ran (nil otherwise).
 	InMem *InMemStats `json:"inmem,omitempty"`
@@ -150,9 +141,8 @@ type Stats struct {
 
 // InMemStats is the per-execution record of the in-memory stripe-partition
 // engine: how the space was cut and what the cut cost in boundary
-// replication. It lives here (not in internal/engine/inmem) for the same
-// reason ShardStats does — Result.Stats, the serving layer and the bench
-// JSON carry it without importing the kernel.
+// replication. It lives here (not in internal/engine/inmem) so Result.Stats,
+// the serving layer and the bench JSON carry it without importing the kernel.
 type InMemStats struct {
 	// Stripes is the effective stripe count after quantile-cut dedup.
 	Stripes int `json:"stripes"`
@@ -164,66 +154,6 @@ type InMemStats struct {
 	ReplicatedA int `json:"replicated_a"`
 	ReplicatedB int `json:"replicated_b"`
 }
-
-// ShardStats is the per-execution record of a sharded meta-engine: how the
-// space was cut, how much boundary replication the cut cost, and what the
-// reference-point dedup dropped. It lives in the engine package (not the
-// shard package) so Result.Stats, the serving layer and the bench JSON can
-// all carry it without importing the meta-engine.
-type ShardStats struct {
-	// Inner is the engine that ran per tile.
-	Inner string `json:"inner"`
-	// Tiles is the configured tile count K; TilesRun counts tiles that held
-	// elements of both datasets and actually executed the inner engine.
-	Tiles    int `json:"tiles"`
-	TilesRun int `json:"tiles_run"`
-	// Workers is the worker-pool size the tiles ran on.
-	Workers int `json:"workers"`
-	// ReplicatedA/ReplicatedB count extra element copies created because an
-	// MBR straddles tile borders (total assignments minus dataset size).
-	ReplicatedA int `json:"replicated_a"`
-	ReplicatedB int `json:"replicated_b"`
-	// DedupDropped counts candidate pairs discarded by reference-point
-	// dedup — pairs found by a tile that does not own the pair's reference
-	// point. Total inner pairs = unique results + DedupDropped.
-	DedupDropped uint64 `json:"dedup_dropped"`
-	// UtilizationPct is worker-pool utilization over the fan-out phase:
-	// sum of per-tile busy time / (Workers × phase wall time), in percent.
-	UtilizationPct float64 `json:"worker_utilization_pct"`
-	// PerTile is the measured-cost feedback per tile, in tile order.
-	PerTile []TileStats `json:"per_tile,omitempty"`
-}
-
-// DegenerateShardStats is the fan-out record of a sharded join that had
-// nothing to fan out (an empty input): one nominal tile, one worker. The
-// single source for both the registry's empty-input short-circuit and the
-// shard engine's own empty branch, so the two paths cannot drift apart.
-func DegenerateShardStats(inner string) *ShardStats {
-	return &ShardStats{Inner: inner, Tiles: 1, Workers: 1}
-}
-
-// TileStats records one tile's measured execution — the per-tile feedback the
-// planner's fan-out pricing is calibrated against.
-type TileStats struct {
-	Tile      int `json:"tile"`
-	ElementsA int `json:"elements_a"`
-	ElementsB int `json:"elements_b"`
-	// Pairs is the unique pairs this tile reported (it owns their reference
-	// points); Dropped is the boundary duplicates it discarded.
-	Pairs   uint64 `json:"pairs"`
-	Dropped uint64 `json:"dropped"`
-	// WallMS is the tile's measured in-memory execution (inner build +
-	// join); ModeledIOMS is its modeled disk time on the tile's own store.
-	// Together they are the measured cost the planner's fan-out pricing is
-	// calibrated against.
-	WallMS      float64 `json:"wall_ms"`
-	ModeledIOMS float64 `json:"modeled_io_ms"`
-}
-
-// Finish derives the modeled-I/O and total fields from the raw counters —
-// exported for meta-engines (shard) that merge inner Stats records outside
-// this package.
-func (s *Stats) Finish(disk storage.DiskModel) { s.finish(disk) }
 
 // finish derives the modeled-I/O and total fields from the raw counters.
 func (s *Stats) finish(disk storage.DiskModel) {
@@ -263,7 +193,7 @@ type Joiner interface {
 
 // registry is the process-wide engine registry. Engines register in init;
 // Register is also exported so external packages can plug in experimental
-// engines (sharded, partitioned) without touching this package.
+// engines without touching this package.
 var registry = struct {
 	mu     sync.RWMutex
 	byName map[string]Joiner
@@ -345,10 +275,6 @@ func annotateEngineSpan(s *obs.Span, res *Result) {
 	s.Add("pages_read", int64(res.Stats.PagesRead))
 	s.Add("candidates", int64(res.Stats.Candidates))
 	s.Add("pairs", int64(res.Stats.Refinements))
-	if sh := res.Stats.Shard; sh != nil {
-		s.Add("tiles_run", int64(sh.TilesRun))
-		s.Add("dedup_dropped", int64(sh.DedupDropped))
-	}
 	if im := res.Stats.InMem; im != nil {
 		s.Add("stripes", int64(im.Stripes))
 		s.Add("replicated", int64(im.ReplicatedA+im.ReplicatedB))
@@ -378,18 +304,6 @@ func expandForDistance(elems []geom.Element, d float64) []geom.Element {
 		out[i] = geom.Element{ID: e.ID, Box: e.Box.Expand(d / 2)}
 	}
 	return out
-}
-
-// Prepare is the exported form of the adapters' shared first step — option
-// normalization (disk model, world box, distance validation) plus the §VIII
-// enlarged-objects reduction, with inputs copied when expansion applies. It
-// exists for meta-engines outside this package (shard) that must partition
-// the already-expanded boxes so replication and dedup see the same geometry
-// the join does. The returned Options still carry the original Distance;
-// callers running inner engines on the returned elements must zero it so
-// the reduction is not applied twice.
-func Prepare(ctx context.Context, a, b []geom.Element, opt Options) ([]geom.Element, []geom.Element, Options, error) {
-	return prepare(ctx, a, b, opt)
 }
 
 // prepare normalizes options and applies distance expansion; every adapter

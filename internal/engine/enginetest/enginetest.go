@@ -1,7 +1,6 @@
-// Package enginetest holds the dataset builders shared by the engine,
-// planner and shard test suites: the three canonical distributions the
-// paper's robustness claim spans, plus helpers every equivalence-style test
-// needs. It deliberately does not import internal/engine, so both internal
+// Package enginetest holds the dataset builders shared by the engine and
+// planner test suites: the three canonical distributions the paper's
+// robustness claim spans, plus helpers every equivalence-style test needs. It deliberately does not import internal/engine, so both internal
 // test files of that package and external harnesses (property tests, planner
 // tests) can use it without import cycles.
 package enginetest

@@ -98,10 +98,8 @@ func TestEngineEquivalenceParallel(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	names := Names()
-	// The built-ins in the paper's presentation order, then the sharded
-	// meta-engines (registered by internal/engine/shard, imported by this
-	// package's external property-test file).
-	want := []string{Transformers, PBSM, RTree, GIPSY, Grid, InMem, Naive, ShardTransformers, ShardGrid, ShardInMem}
+	// The built-ins in the paper's presentation order.
+	want := []string{Transformers, PBSM, RTree, GIPSY, Grid, InMem, Naive}
 	if fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Fatalf("Names() = %v, want %v", names, want)
 	}
@@ -124,17 +122,8 @@ func TestRegistry(t *testing.T) {
 	if c := mustGet(t, Naive).Capabilities(); !c.Reference || !c.InMemory {
 		t.Errorf("naive capabilities wrong: %+v", c)
 	}
-	if c := mustGet(t, ShardTransformers).Capabilities(); !c.Parallel || !c.Adaptive || c.InMemory {
-		t.Errorf("shard-transformers capabilities wrong: %+v", c)
-	}
-	if c := mustGet(t, ShardGrid).Capabilities(); !c.Parallel || !c.InMemory {
-		t.Errorf("shard-grid capabilities wrong: %+v", c)
-	}
 	if c := mustGet(t, InMem).Capabilities(); !c.Parallel || !c.InMemory || c.Reference {
 		t.Errorf("inmem capabilities wrong: %+v", c)
-	}
-	if c := mustGet(t, ShardInMem).Capabilities(); !c.Parallel || !c.InMemory {
-		t.Errorf("shard-inmem capabilities wrong: %+v", c)
 	}
 }
 

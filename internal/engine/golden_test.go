@@ -174,9 +174,9 @@ func loadGolden(t *testing.T) map[string]goldenEntry {
 	return g
 }
 
-// TestGoldenCorpus checks every engine (sharded ones at every fixed tile
-// count) against the committed pair-set hash of every fixture; under
-// -update it recomputes the hashes from the naive reference instead.
+// TestGoldenCorpus checks every engine against the committed pair-set hash
+// of every fixture; under -update it recomputes the hashes from the naive
+// reference instead.
 func TestGoldenCorpus(t *testing.T) {
 	golden := map[string]goldenEntry{}
 	if !*updateGolden {
@@ -196,24 +196,13 @@ func TestGoldenCorpus(t *testing.T) {
 				t.Fatalf("no golden entry for %s (run with -update)", fx.name)
 			}
 			for _, name := range engine.Names() {
-				opts := []engine.Options{{}}
-				if j, err := engine.Get(name); err == nil {
-					if _, isShard := j.(interface{ Inner() string }); isShard {
-						opts = opts[:0]
-						for _, k := range shardTileCounts {
-							opts = append(opts, engine.Options{ShardTiles: k, Parallelism: 2})
-						}
-					}
+				res, err := engine.Run(context.Background(), name, enginetest.Copy(a), enginetest.Copy(b), engine.Options{})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				for _, opt := range opts {
-					res, err := engine.Run(context.Background(), name, enginetest.Copy(a), enginetest.Copy(b), opt)
-					if err != nil {
-						t.Fatalf("%s (K=%d): %v", name, opt.ShardTiles, err)
-					}
-					if got := pairSetHash(res.Pairs); got != want.SHA256 || len(res.Pairs) != want.Pairs {
-						t.Errorf("%s (K=%d): %d pairs, hash %s — golden has %d pairs, hash %s",
-							name, opt.ShardTiles, len(res.Pairs), got[:12], want.Pairs, want.SHA256[:12])
-					}
+				if got := pairSetHash(res.Pairs); got != want.SHA256 || len(res.Pairs) != want.Pairs {
+					t.Errorf("%s: %d pairs, hash %s — golden has %d pairs, hash %s",
+						name, len(res.Pairs), got[:12], want.Pairs, want.SHA256[:12])
 				}
 			}
 		})

@@ -215,12 +215,14 @@ func TestPlanAppliesCalibration(t *testing.T) {
 			"partition": maxMultiplier, "sweep": maxMultiplier,
 			"sweep_cluster": maxMultiplier, "sweep_skew": maxMultiplier,
 		}},
-		engine.ShardInMem: {Multipliers: map[string]float64{
+		// An entry for an engine that is no longer registered (calibration
+		// files fitted before the sharded tier was removed) is inert.
+		"shard-inmem": {Multipliers: map[string]float64{
 			"inner": maxMultiplier, "partition": maxMultiplier,
 		}},
 	}}
 	d := Plan(a, b, Config{Calibration: cal})
-	if d.Engine == engine.InMem || d.Engine == engine.ShardInMem {
+	if d.Engine == engine.InMem {
 		t.Fatalf("50x-inflated inmem still selected: %+v", d.Scores)
 	}
 	calInMem := scoreOf(t, d, engine.InMem)
@@ -260,13 +262,13 @@ func TestPlanAppliesCorrection(t *testing.T) {
 		t.Fatalf("baseline chose %q, want inmem", base.Engine)
 	}
 	inflate := func(eng string) float64 {
-		if eng == engine.InMem || eng == engine.ShardInMem {
+		if eng == engine.InMem {
 			return 4
 		}
 		return 1
 	}
 	d := Plan(a, b, Config{Correct: inflate})
-	if d.Engine == engine.InMem || d.Engine == engine.ShardInMem {
+	if d.Engine == engine.InMem {
 		t.Fatalf("4x-corrected inmem still selected: %+v", d.Scores)
 	}
 	got, want := scoreOf(t, d, engine.InMem), scoreOf(t, base, engine.InMem)*4
@@ -331,11 +333,10 @@ func TestCorrectorSingleOutlierNeverFlips(t *testing.T) {
 	// End to end on a real plan: the winner's margin over the runner-up
 	// exceeds the single-step bound, so one outlier against the winner must
 	// not change the decision. Clustered data gives inmem a ~2x margin over
-	// the runner-up; ShardWorkers is pinned so a many-core machine cannot
-	// narrow it.
+	// the runner-up.
 	a := Analyze(datagen.DenseCluster(datagen.Config{N: 30000, Seed: 6}))
 	b := Analyze(datagen.DenseCluster(datagen.Config{N: 30000, Seed: 7}))
-	cfg := Config{ShardWorkers: 1}
+	cfg := Config{}
 	base := Plan(a, b, cfg)
 	if len(base.Scores) < 2 || base.Scores[0].Engine != base.Engine {
 		t.Fatalf("unexpected baseline decision %+v", base)
@@ -553,8 +554,8 @@ func TestPlanCustomCandidateSetNoSilentFallback(t *testing.T) {
 	// Clustered data above the in-memory cap: the full registry would fall
 	// back to TRANSFORMERS here (fixed layouts degrade on clusters).
 	full := Plan(a, b, Config{PrebuiltTransformers: true})
-	if full.Engine != engine.Transformers && full.Engine != engine.ShardTransformers {
-		t.Fatalf("full registry chose %q, want the transformers family", full.Engine)
+	if full.Engine != engine.Transformers {
+		t.Fatalf("full registry chose %q, want transformers", full.Engine)
 	}
 
 	// The same workload restricted to fixed-layout engines: the cheapest of

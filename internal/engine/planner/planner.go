@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/engine"
@@ -37,15 +35,10 @@ type Config struct {
 	// cap they are excluded from auto-selection (still requestable
 	// explicitly). DefaultMaxInMemoryElements when zero.
 	MaxInMemoryElements int
-	// ShardWorkers is the worker budget sharded meta-engines are priced
-	// at — the fan-out speedup can never exceed it. runtime.GOMAXPROCS(0)
-	// when zero (the shard engine's own default worker-pool size).
+	// ShardWorkers is ignored.
+	//
+	// Deprecated: it priced a worker pool that no engine has any more.
 	ShardWorkers int
-	// ShardTiles pins the tile count sharded meta-engines are priced at,
-	// matching a request that pins its fan-out; 0 prices the
-	// statistics-driven ShardTiles selection the engines default to. The
-	// plan must describe the execution the caller will actually run.
-	ShardTiles int
 	// Calibration, when non-nil, replaces the hand-tuned cost constants
 	// with fitted per-engine term multipliers (see Fit and cmd/plannerfit).
 	// Cost terms are always reported raw in Score.Terms so a future refit
@@ -124,12 +117,6 @@ type Decision struct {
 	// over a nominally cheaper engine because the predicted advantage was
 	// within the model's error margin.
 	Fallback bool `json:"fallback,omitempty"`
-	// ShardTiles is the tile count the sharded engines were priced at
-	// (the Config pin, or the statistics-driven selection). Callers that
-	// execute a sharded engine should pass it through to the execution so
-	// the O(n) statistics pass is not repeated — and so what runs is what
-	// was priced. Zero when no sharded engine was scored.
-	ShardTiles int `json:"shard_tiles,omitempty"`
 	// Scores is sorted by ascending predicted cost.
 	Scores []Score `json:"scores"`
 }
@@ -155,20 +142,11 @@ const (
 	// default (cost-model predictions are rough; robustness is the tie
 	// breaker, §VII).
 	fallbackMargin = 1.25
-	// tShardPartition prices the shard meta-engine's partitioning pass per
-	// element: a Hilbert-cell mapping plus tile assignment (and, for
-	// border-straddling MBRs, a few extra cell probes), measured on the
-	// shard benchmarks.
-	tShardPartition = 2.5e-7
 	// tInMemPartition prices the inmem engine's stripe partitioning per
 	// element: the radix sweep-order sort plus the counting fill into the
 	// SoA arena (BenchmarkInMemJoin partition+join minus join, and the
 	// build column of the BENCH_2 engines comparison).
 	tInMemPartition = 2e-7
-	// shardPoolEfficiency discounts the ideal fan-out speedup for pool
-	// scheduling, result merging and tile imbalance the density-balanced
-	// cut could not remove.
-	shardPoolEfficiency = 0.85
 )
 
 // Plan prices every candidate engine on the two datasets' statistics and
@@ -195,25 +173,19 @@ func Plan(a, b DatasetStats, cfg Config) Decision {
 	if maxInMem <= 0 {
 		maxInMem = DefaultMaxInMemoryElements
 	}
-	shardWorkers := cfg.ShardWorkers
-	if shardWorkers <= 0 {
-		shardWorkers = runtime.GOMAXPROCS(0)
-	}
 
 	m := model{
 		a: a, b: b,
-		perPage:      float64(storage.ElementsPerPage(pageSize)),
-		tio:          disk.ReadTime(storage.Stats{Reads: 1, SeqReads: 1, BytesRead: uint64(pageSize)}).Seconds(),
-		seek:         disk.Seek.Seconds(),
-		skew:         math.Max(a.SkewCV, b.SkewCV),
-		cluster:      math.Max(a.ClusterFraction, b.ClusterFraction),
-		contrast:     DensityContrast(a, b),
-		prebuilt:     cfg.PrebuiltTransformers,
-		maxRef:       maxRef,
-		maxInMem:     maxInMem,
-		shardWorkers: shardWorkers,
-		shardTiles:   cfg.ShardTiles,
-		calib:        cfg.Calibration,
+		perPage:  float64(storage.ElementsPerPage(pageSize)),
+		tio:      disk.ReadTime(storage.Stats{Reads: 1, SeqReads: 1, BytesRead: uint64(pageSize)}).Seconds(),
+		seek:     disk.Seek.Seconds(),
+		skew:     math.Max(a.SkewCV, b.SkewCV),
+		cluster:  math.Max(a.ClusterFraction, b.ClusterFraction),
+		contrast: DensityContrast(a, b),
+		prebuilt: cfg.PrebuiltTransformers,
+		maxRef:   maxRef,
+		maxInMem: maxInMem,
+		calib:    cfg.Calibration,
 	}
 
 	scores := make([]Score, 0, len(engines))
@@ -232,12 +204,6 @@ func Plan(a, b DatasetStats, cfg Config) Decision {
 	sort.SliceStable(scores, func(i, j int) bool { return scores[i].CostMS < scores[j].CostMS })
 
 	d := Decision{Scores: scores}
-	for _, j := range engines {
-		if strings.HasPrefix(j.Name(), engine.ShardPrefix) {
-			d.ShardTiles = m.pricedShardTiles()
-			break
-		}
-	}
 	if len(scores) == 0 {
 		d.Engine = engine.Transformers
 		d.Fallback = true
@@ -246,15 +212,13 @@ func Plan(a, b DatasetStats, cfg Config) Decision {
 	d.Engine = scores[0].Engine
 	// Robust fallback: a fixed-layout or in-memory engine must beat
 	// TRANSFORMERS by a clear margin, otherwise prediction error could
-	// hand a skew-fragile engine a workload it degrades on. The sharded
-	// adaptive join is the same algorithm per tile, so it counts as robust:
-	// no fallback is needed when it wins.
+	// hand a skew-fragile engine a workload it degrades on.
 	//
 	// The fallback only exists when TRANSFORMERS is in the candidate set: a
 	// caller-supplied Config.Engines without it has opted out of the robust
 	// default, so the cheapest candidate stands and Decision.Fallback stays
 	// false by construction — there is nothing to fall back to.
-	if !robustEngine(d.Engine) {
+	if d.Engine != engine.Transformers {
 		for _, s := range scores {
 			if s.Engine != engine.Transformers {
 				continue
@@ -269,40 +233,19 @@ func Plan(a, b DatasetStats, cfg Config) Decision {
 	return d
 }
 
-// robustEngine reports whether name runs the adaptive TRANSFORMERS join —
-// directly or per shard tile — and therefore needs no robust fallback.
-func robustEngine(name string) bool {
-	return name == engine.Transformers || name == engine.ShardTransformers
-}
-
-// pricedShardTiles is the tile count this pass prices sharded engines at:
-// the Config pin clamped to the engines' tile cap (what would actually
-// run), or the statistics-driven selection.
-func (m model) pricedShardTiles() int {
-	if m.shardTiles > 0 {
-		if m.shardTiles > engine.ShardMaxTiles {
-			return engine.ShardMaxTiles
-		}
-		return m.shardTiles
-	}
-	return ShardTiles(m.a, m.b)
-}
-
 // model holds the shared signals one planning pass prices engines on.
 type model struct {
-	a, b         DatasetStats
-	perPage      float64 // elements per disk page
-	tio          float64 // seconds per sequential page read
-	seek         float64 // seconds per random access
-	skew         float64
-	cluster      float64
-	contrast     float64
-	prebuilt     bool
-	maxRef       float64
-	maxInMem     int
-	shardWorkers int
-	shardTiles   int
-	calib        *Calibration // nil = hand-tuned constants (all multipliers 1)
+	a, b     DatasetStats
+	perPage  float64 // elements per disk page
+	tio      float64 // seconds per sequential page read
+	seek     float64 // seconds per random access
+	skew     float64
+	cluster  float64
+	contrast float64
+	prebuilt bool
+	maxRef   float64
+	maxInMem int
+	calib    *Calibration // nil = hand-tuned constants (all multipliers 1)
 }
 
 func (m model) pages(n int) float64 { return math.Ceil(float64(n) / m.perPage) }
@@ -313,9 +256,6 @@ func (m model) pages(n int) float64 { return math.Ceil(float64(n) / m.perPage) }
 func (m model) score(j engine.Joiner) Score {
 	nA, nB := float64(m.a.Count), float64(m.b.Count)
 	pagesBoth := m.pages(m.a.Count) + m.pages(m.b.Count)
-	// The in-memory cap binds sharded in-memory engines too: tiles run as
-	// threads of one process, so sharding parallelizes the work without
-	// shrinking the resident footprint the cap protects.
 	if j.Capabilities().InMemory && !FitsInMemory(m.a, m.b, m.maxInMem) {
 		return Score{Engine: j.Name(), CostMS: math.Inf(1),
 			Reason: fmt.Sprintf("in-memory engine, |A|+|B|=%d over the %d cap", m.a.Count+m.b.Count, m.maxInMem)}
@@ -409,57 +349,8 @@ func (m model) score(j engine.Joiner) Score {
 		}
 		return m.priced(j, "nested loop on tiny inputs", term{"product", nA * nB * 3e-9})
 	default:
-		if inner, ok := strings.CutPrefix(j.Name(), engine.ShardPrefix); ok {
-			return m.scoreShard(j, inner)
-		}
 		return Score{Engine: j.Name(), CostMS: math.Inf(1), Reason: "no cost model; request explicitly"}
 	}
-}
-
-// scoreShard prices a sharded meta-engine: the inner engine's cost on the
-// full data (replication-inflated) divided by the effective fan-out speedup,
-// plus the partitioning pass. The inner is priced without the prebuilt
-// discount — sharding re-partitions raw elements, so catalog indexes do not
-// help it. The combined in-memory cap was already applied by the caller (it
-// binds sharded in-memory engines too); the inner is priced past it so the
-// per-tile formula stays meaningful under the cap.
-//
-// Calibration note: the "inner" term is the inner engine's *calibrated* cost
-// (so fitted inner constants propagate into the fan-out price), which makes
-// the shard engines' own multipliers corrections on top of the current inner
-// calibration — refit shard engines from logs recorded under the calibration
-// generation that will serve them.
-func (m model) scoreShard(j engine.Joiner, inner string) Score {
-	ij, err := engine.Get(inner)
-	if err != nil {
-		return Score{Engine: j.Name(), CostMS: math.Inf(1),
-			Reason: fmt.Sprintf("inner engine %q not registered", inner)}
-	}
-	k := m.pricedShardTiles()
-	n := m.a.Count + m.b.Count
-	mi := m
-	mi.prebuilt = false
-	mi.maxInMem = math.MaxInt
-	is := mi.score(ij)
-	if math.IsInf(is.CostMS, 0) || math.IsNaN(is.CostMS) {
-		return Score{Engine: j.Name(), CostMS: math.Inf(1),
-			Reason: fmt.Sprintf("inner engine excluded: %s", is.Reason)}
-	}
-	innerCost := is.CostMS / 1e3 // back to the model's seconds
-	// Boundary replication grows with the tiles' surface-to-volume ratio;
-	// the effective speedup is capped by the worker budget and discounted
-	// for pool overhead. K=1 degenerates to the inner engine plus the
-	// partitioning pass — never cheaper than running the inner directly,
-	// so tiny inputs keep their single-node plan.
-	replication := 1 + 0.05*math.Cbrt(float64(k))
-	eff := shardPoolEfficiency * math.Min(float64(k), float64(m.shardWorkers))
-	if eff < 1 {
-		eff = 1
-	}
-	return m.priced(j, fmt.Sprintf("%s over %d tiles on %d workers, replication x%.2f",
-		inner, k, m.shardWorkers, replication),
-		term{"inner", innerCost * replication / eff},
-		term{"partition", float64(n) * tShardPartition})
 }
 
 // term is one named cost component in the model's native seconds.

@@ -76,9 +76,7 @@ func scoreOf(t *testing.T, d Decision, name string) float64 {
 
 // TestPlanChoosesTransformersOnNonUniform is the acceptance property: on
 // clustered and on skewed serving-scale datasets the planner must predict
-// every fixed-layout engine slower and select the adaptive join — either
-// single-node TRANSFORMERS or its sharded form (whichever the worker budget
-// favors; both run the same robust algorithm).
+// every fixed-layout engine slower and select the adaptive join.
 func TestPlanChoosesTransformersOnNonUniform(t *testing.T) {
 	// Serving scale: above the in-memory cap, so the choice is among the
 	// disk-based engines.
@@ -95,8 +93,8 @@ func TestPlanChoosesTransformersOnNonUniform(t *testing.T) {
 	for _, w := range workloads {
 		for _, prebuilt := range []bool{false, true} {
 			d := Plan(w.a, w.b, Config{PrebuiltTransformers: prebuilt})
-			if d.Engine != engine.Transformers && d.Engine != engine.ShardTransformers {
-				t.Errorf("%s (prebuilt=%v): planner chose %q, want the transformers family\nscores: %+v",
+			if d.Engine != engine.Transformers {
+				t.Errorf("%s (prebuilt=%v): planner chose %q, want transformers\nscores: %+v",
 					w.name, prebuilt, d.Engine, d.Scores)
 				continue
 			}
@@ -197,14 +195,13 @@ func TestFitsInMemory(t *testing.T) {
 }
 
 // TestPlanInMemoryCap: the same distribution above the cap must exclude the
-// in-memory engines and fall to the robust disk-based default (single-node
-// or sharded, depending on the worker budget).
+// in-memory engines and fall to the robust disk-based default.
 func TestPlanInMemoryCap(t *testing.T) {
 	a := Analyze(datagen.Uniform(datagen.Config{N: 200_000, Seed: 16}))
 	b := Analyze(datagen.Uniform(datagen.Config{N: 200_000, Seed: 17}))
 	d := Plan(a, b, Config{})
-	if d.Engine != engine.Transformers && d.Engine != engine.ShardTransformers {
-		t.Errorf("above cap: chose %q, want the transformers family\nscores: %+v", d.Engine, d.Scores)
+	if d.Engine != engine.Transformers {
+		t.Errorf("above cap: chose %q, want transformers\nscores: %+v", d.Engine, d.Scores)
 	}
 	if g := scoreOf(t, d, engine.Grid); !math.IsInf(g, 1) {
 		t.Errorf("grid over the cap must score +Inf, got %v", g)
@@ -212,18 +209,15 @@ func TestPlanInMemoryCap(t *testing.T) {
 	if im := scoreOf(t, d, engine.InMem); !math.IsInf(im, 1) {
 		t.Errorf("inmem over the cap must score +Inf, got %v", im)
 	}
-	if im := scoreOf(t, d, engine.ShardInMem); !math.IsInf(im, 1) {
-		t.Errorf("shard-inmem over the cap must score +Inf, got %v", im)
-	}
 }
 
 // stubEngine is an externally registered engine with no planner formula.
 type stubEngine struct{}
 
-func (stubEngine) Name() string                      { return "stub-shard" }
+func (stubEngine) Name() string                      { return "stub" }
 func (stubEngine) Capabilities() engine.Capabilities { return engine.Capabilities{} }
 func (stubEngine) JoinStream(ctx context.Context, a, b []geom.Element, opt engine.Options, emit engine.EmitFunc) (*engine.Result, error) {
-	return &engine.Result{Engine: "stub-shard"}, nil
+	return &engine.Result{Engine: "stub"}, nil
 }
 
 // TestPlanUnknownEngineNeverAutoSelected: engines the registry serves but
@@ -234,10 +228,10 @@ func TestPlanUnknownEngineNeverAutoSelected(t *testing.T) {
 	b := Analyze(datagen.Uniform(datagen.Config{N: 1000, Seed: 19}))
 	all := append(engine.All(), stubEngine{})
 	d := Plan(a, b, Config{Engines: all})
-	if d.Engine == "stub-shard" {
+	if d.Engine == "stub" {
 		t.Fatal("auto selected an unpriced engine")
 	}
-	if s := scoreOf(t, d, "stub-shard"); !math.IsInf(s, 1) {
+	if s := scoreOf(t, d, "stub"); !math.IsInf(s, 1) {
 		t.Errorf("unpriced engine must score +Inf, got %v", s)
 	}
 }

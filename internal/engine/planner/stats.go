@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/hilbert"
 )
 
 // histBuckets is the size of the density histogram: bucket k counts occupied
@@ -143,57 +142,6 @@ func Analyze(elems []geom.Element) DatasetStats {
 	}
 	st.ClusterFraction = float64(clustered) / float64(len(elems))
 	return st
-}
-
-// ShardGridOrder is the Hilbert-curve order of the tiling analysis grid the
-// sharded meta-engines cut the space on: order 5 gives 32³ = 32768 cells,
-// matching the upper resolution of Analyze's density grid while keeping the
-// weight array small enough to build per join.
-const ShardGridOrder = 5
-
-// HilbertWeights is the spatial form of Analyze's density histogram: the
-// element-center count of every cell of the order-`order` Hilbert grid over
-// world, indexed by Hilbert value. Contiguous ranges of this array are
-// contiguous Hilbert-order runs of space, which is exactly what the shard
-// engine needs to place density-balanced tile boundaries — equal-weight cuts
-// of this array keep a clustered dataset from producing one hot shard.
-// Centers outside world are clamped to its boundary cells.
-func HilbertWeights(elems []geom.Element, world geom.Box, order int) []uint32 {
-	m := hilbert.NewMapper(world, order)
-	w := make([]uint32, uint64(1)<<uint(3*order))
-	for _, e := range elems {
-		w[m.Value(e.Box.Center())]++
-	}
-	return w
-}
-
-// shardTargetPerTile is the combined per-tile cardinality the tile-count
-// selection aims for: small enough that per-tile index builds stay cheap and
-// the worker pool has slack to balance, large enough that partitioning
-// overhead and boundary replication stay a small fraction of the join.
-const shardTargetPerTile = 24_000
-
-// MaxShardTiles bounds the automatic tile count.
-const MaxShardTiles = 64
-
-// ShardTiles selects the tile count K a sharded meta-engine should fan out
-// to, from the same cheap statistics the planner prices engines on:
-// cardinality sets the baseline (one tile per ~24K combined elements), and
-// skewed data doubles it — smaller tiles give the density-balanced cut the
-// resolution to split hot clusters across workers instead of handing one
-// worker the whole cluster. Returns at least 1 (inputs too small to shard).
-func ShardTiles(a, b DatasetStats) int {
-	k := (a.Count + b.Count) / shardTargetPerTile
-	if k < 1 {
-		return 1
-	}
-	if math.Max(a.SkewCV, b.SkewCV) > 2 {
-		k *= 2
-	}
-	if k > MaxShardTiles {
-		k = MaxShardTiles
-	}
-	return k
 }
 
 // DensityContrast returns the §VI-A density contrast between two datasets:

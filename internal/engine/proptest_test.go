@@ -1,11 +1,6 @@
 // Property-based equivalence harness: a seeded generator of adversarial
-// datasets asserts that every registered engine — including the sharded
-// meta-engines at fixed tile counts — returns the exact naive pair set.
-//
-// The file lives in the external test package so it can import the shard
-// meta-engine (which imports engine); its registration side effect is what
-// puts shard-transformers/shard-grid into the registry for the whole test
-// binary, internal test files included.
+// datasets asserts that every registered engine — the parallel ones also
+// with several workers — returns the exact naive pair set.
 //
 // The seed is randomized per run (adversarial shapes are parameterized, not
 // hand-picked) and printed on every run; reproduce a failure with
@@ -27,15 +22,9 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/engine/enginetest"
-	_ "repro/internal/engine/shard"
 	"repro/internal/geom"
 	"repro/internal/naive"
 )
-
-// shardTileCounts are the fixed fan-outs the harness forces through the
-// sharded engines: the degenerate K=1, an even cut, a prime that never
-// aligns with the Hilbert grid, and a serving-scale fan-out.
-var shardTileCounts = []int{1, 2, 7, 16}
 
 // propSeed resolves the harness seed: PROPTEST_SEED pins it, otherwise it is
 // time-randomized. The chosen seed is logged and, when PROPTEST_SEED_DIR is
@@ -159,8 +148,8 @@ func adversarialCases(seed int64) []enginetest.Workload {
 }
 
 // TestPropertyEquivalence is the harness: every registered engine on every
-// adversarial case must return the exact naive pair set; the sharded engines
-// additionally at every fixed tile count and a non-trivial worker count.
+// adversarial case must return the exact naive pair set; the parallel engines
+// additionally at a non-trivial worker count.
 func TestPropertyEquivalence(t *testing.T) {
 	seed := propSeed(t)
 	for _, w := range adversarialCases(seed) {
@@ -169,27 +158,22 @@ func TestPropertyEquivalence(t *testing.T) {
 			reference := naive.Join(w.A, w.B)
 			for _, name := range engine.Names() {
 				runs := []engine.Options{{}}
-				if j, err := engine.Get(name); err == nil {
-					if _, isShard := j.(interface{ Inner() string }); isShard {
-						runs = runs[:0]
-						for _, k := range shardTileCounts {
-							runs = append(runs, engine.Options{ShardTiles: k, Parallelism: 3})
-						}
-					}
+				if j, err := engine.Get(name); err == nil && j.Capabilities().Parallel {
+					runs = append(runs, engine.Options{Parallelism: 3})
 				}
 				for _, opt := range runs {
 					res, err := engine.Run(context.Background(), name,
 						enginetest.Copy(w.A), enginetest.Copy(w.B), opt)
 					if err != nil {
-						t.Fatalf("%s (K=%d): %v", name, opt.ShardTiles, err)
+						t.Fatalf("%s (par=%d): %v", name, opt.Parallelism, err)
 					}
 					if !naive.Equal(res.Pairs, enginetest.CopyPairs(reference)) {
-						t.Errorf("%s (K=%d) on %s: %d pairs, naive has %d — set diverges (seed %d)",
-							name, opt.ShardTiles, w.Name, len(res.Pairs), len(reference), seed)
+						t.Errorf("%s (par=%d) on %s: %d pairs, naive has %d — set diverges (seed %d)",
+							name, opt.Parallelism, w.Name, len(res.Pairs), len(reference), seed)
 					}
 					if res.Stats.Refinements != uint64(len(reference)) {
-						t.Errorf("%s (K=%d) on %s: Refinements=%d, want %d (seed %d)",
-							name, opt.ShardTiles, w.Name, res.Stats.Refinements, len(reference), seed)
+						t.Errorf("%s (par=%d) on %s: Refinements=%d, want %d (seed %d)",
+							name, opt.Parallelism, w.Name, res.Stats.Refinements, len(reference), seed)
 					}
 					// The streamed multiset must be the same exact set on
 					// every adversarial shape.
@@ -197,11 +181,11 @@ func TestPropertyEquivalence(t *testing.T) {
 					if _, err := engine.RunStream(context.Background(), name,
 						enginetest.Copy(w.A), enginetest.Copy(w.B), opt,
 						func(p geom.Pair) error { streamed = append(streamed, p); return nil }); err != nil {
-						t.Fatalf("%s (K=%d) stream: %v", name, opt.ShardTiles, err)
+						t.Fatalf("%s (par=%d) stream: %v", name, opt.Parallelism, err)
 					}
 					if !naive.Equal(streamed, enginetest.CopyPairs(reference)) {
-						t.Errorf("%s (K=%d) on %s: streamed %d pairs, naive has %d — set diverges (seed %d)",
-							name, opt.ShardTiles, w.Name, len(streamed), len(reference), seed)
+						t.Errorf("%s (par=%d) on %s: streamed %d pairs, naive has %d — set diverges (seed %d)",
+							name, opt.Parallelism, w.Name, len(streamed), len(reference), seed)
 					}
 				}
 			}
@@ -250,9 +234,6 @@ func TestPropertyStreamAbort(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for _, name := range engine.Names() {
 		runs := []engine.Options{{}, {Parallelism: 4}}
-		if isShard(name) {
-			runs = []engine.Options{{ShardTiles: 7, Parallelism: 3}}
-		}
 		for _, opt := range runs {
 			emitted := 0
 			res, err := engine.RunStream(context.Background(), name,
@@ -294,9 +275,6 @@ func TestPropertyStreamCancel(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for _, name := range engine.Names() {
 		opt := engine.Options{Parallelism: 3}
-		if isShard(name) {
-			opt.ShardTiles = 7
-		}
 		ctx, cancel := context.WithCancel(context.Background())
 		emitted := 0
 		_, err := engine.RunStream(ctx, name, enginetest.Copy(a), enginetest.Copy(b), opt,
@@ -312,41 +290,5 @@ func TestPropertyStreamCancel(t *testing.T) {
 			t.Fatalf("%s: canceled stream returned %v, want context.Canceled (seed %d)", name, err, seed)
 		}
 		settledGoroutines(t, baseline+2, name)
-	}
-}
-
-func isShard(name string) bool {
-	j, err := engine.Get(name)
-	if err != nil {
-		return false
-	}
-	_, ok := j.(interface{ Inner() string })
-	return ok
-}
-
-// TestPropertyShardWorkerInvariance: on one adversarial case, the sharded
-// result must not vary with the worker count — the pair set is a function of
-// the tiling, never of the schedule.
-func TestPropertyShardWorkerInvariance(t *testing.T) {
-	seed := propSeed(t)
-	r := rand.New(rand.NewSource(seed + 1))
-	a := genClustered(r, 900, 3, 5, 4, 0)
-	b := append(genGiants(r, 15, 0), genUniformBoxes(r, 600, 5, 100)...)
-	reference := naive.Join(a, b)
-	if len(reference) == 0 {
-		t.Skip("degenerate draw: no pairs")
-	}
-	for _, name := range []string{engine.ShardTransformers, engine.ShardGrid} {
-		for _, workers := range []int{1, 2, 5, 9} {
-			res, err := engine.Run(context.Background(), name,
-				enginetest.Copy(a), enginetest.Copy(b),
-				engine.Options{ShardTiles: 7, Parallelism: workers})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			if !naive.Equal(res.Pairs, enginetest.CopyPairs(reference)) {
-				t.Errorf("%s workers=%d: pair set diverges (seed %d)", name, workers, seed)
-			}
-		}
 	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -54,12 +53,6 @@ func emptyInputResult(name string, a, b []geom.Element, opt Options) (res *Resul
 		return nil, true, err
 	}
 	res = &Result{Engine: name}
-	// Keep the response shape of the engine that would have run: a sharded
-	// name reports the same degenerate fan-out record its own empty-input
-	// branch produces.
-	if inner, ok := strings.CutPrefix(name, ShardPrefix); ok {
-		res.Stats.Shard = DegenerateShardStats(inner)
-	}
 	res.Stats.finish(opt.Disk)
 	return res, true, nil
 }

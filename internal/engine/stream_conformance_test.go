@@ -1,15 +1,10 @@
-// Streaming conformance suite: for every registered engine — the six
-// natives and both sharded meta-engines — the pair multiset produced through
-// the emit-based JoinStream path must be exactly the collected Join pair
-// set, on the canonical uniform/clustered/skewed workloads, under both the
-// intersects and the distance predicate, at parallelism 1 and 8 (and, for
-// the sharded engines, at every fixed tile count the property harness
-// pins). The collected Join of every built-in is a thin wrapper over the
-// stream, but this suite is what holds the two paths together if an engine
-// ever grows a divergent fast path.
-//
-// The file lives in the external test package so the shard meta-engines'
-// registration side effect is in force (see proptest_test.go).
+// Streaming conformance suite: for every registered engine, the pair
+// multiset produced through the emit-based JoinStream path must be exactly
+// the collected Join pair set, on the canonical uniform/clustered/skewed
+// workloads, under both the intersects and the distance predicate, at
+// parallelism 1 and 8. The collected Join of every built-in is a thin
+// wrapper over the stream, but this suite is what holds the two paths
+// together if an engine ever grows a divergent fast path.
 package engine_test
 
 import (
@@ -35,51 +30,30 @@ func streamPairs(t *testing.T, name string, a, b []geom.Element, opt engine.Opti
 	return pairs, res
 }
 
-// conformanceRuns enumerates the option sets one engine is checked under:
-// both predicates at both parallelism levels, with the sharded engines
-// additionally swept over the harness's fixed tile counts.
-func conformanceRuns(name string, distance float64) []engine.Options {
-	var runs []engine.Options
-	for _, par := range []int{1, 8} {
-		base := engine.Options{Distance: distance, Parallelism: par}
-		if j, err := engine.Get(name); err == nil {
-			if _, isShard := j.(interface{ Inner() string }); isShard {
-				for _, k := range shardTileCounts {
-					o := base
-					o.ShardTiles = k
-					runs = append(runs, o)
-				}
-				continue
-			}
-		}
-		runs = append(runs, base)
-	}
-	return runs
-}
-
 func TestStreamConformance(t *testing.T) {
 	for _, w := range enginetest.Workloads(400, 9000) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			for _, name := range engine.Names() {
 				for _, distance := range []float64{0, 12} {
-					for _, opt := range conformanceRuns(name, distance) {
+					for _, par := range []int{1, 8} {
+						opt := engine.Options{Distance: distance, Parallelism: par}
 						collected, err := engine.Run(context.Background(), name,
 							enginetest.Copy(w.A), enginetest.Copy(w.B), opt)
 						if err != nil {
-							t.Fatalf("%s (d=%v K=%d par=%d): Join: %v",
-								name, distance, opt.ShardTiles, opt.Parallelism, err)
+							t.Fatalf("%s (d=%v par=%d): Join: %v",
+								name, distance, opt.Parallelism, err)
 						}
 						streamed, sres := streamPairs(t, name,
 							enginetest.Copy(w.A), enginetest.Copy(w.B), opt)
 						if !naive.Equal(streamed, enginetest.CopyPairs(collected.Pairs)) {
-							t.Errorf("%s (d=%v K=%d par=%d) on %s: streamed %d pairs, collected %d — multisets diverge",
-								name, distance, opt.ShardTiles, opt.Parallelism, w.Name,
+							t.Errorf("%s (d=%v par=%d) on %s: streamed %d pairs, collected %d — multisets diverge",
+								name, distance, opt.Parallelism, w.Name,
 								len(streamed), len(collected.Pairs))
 						}
 						if sres.Stats.Refinements != uint64(len(streamed)) {
-							t.Errorf("%s (d=%v K=%d par=%d) on %s: stream Refinements=%d but emitted %d",
-								name, distance, opt.ShardTiles, opt.Parallelism, w.Name,
+							t.Errorf("%s (d=%v par=%d) on %s: stream Refinements=%d but emitted %d",
+								name, distance, opt.Parallelism, w.Name,
 								sres.Stats.Refinements, len(streamed))
 						}
 					}
@@ -91,7 +65,7 @@ func TestStreamConformance(t *testing.T) {
 
 // TestStreamEmptyInputGuard: the empty-input short-circuit must cover the
 // streaming path exactly as it covers the collected one — valid zero-pair
-// Stats, no emit calls, and the degenerate shard record for sharded names.
+// Stats and no emit calls.
 func TestStreamEmptyInputGuard(t *testing.T) {
 	nonEmpty := []geom.Element{{ID: 1, Box: geom.NewBox(geom.Point{1, 1, 1}, geom.Point{2, 2, 2})}}
 	cases := []struct {
@@ -119,9 +93,6 @@ func TestStreamEmptyInputGuard(t *testing.T) {
 			if res.Stats.JoinTotal != res.Stats.JoinWall+res.Stats.JoinIOTime {
 				t.Errorf("%s/%s: Stats not finished", name, tc.name)
 			}
-			if isShardName(name) && res.Stats.Shard == nil {
-				t.Errorf("%s/%s: sharded empty result missing degenerate shard stats", name, tc.name)
-			}
 			// The guard must also validate options on the streaming path.
 			if _, err := engine.RunStream(context.Background(), name, tc.a, tc.b,
 				engine.Options{Distance: -1}, func(geom.Pair) error { return nil }); err == nil {
@@ -129,13 +100,4 @@ func TestStreamEmptyInputGuard(t *testing.T) {
 			}
 		}
 	}
-}
-
-func isShardName(name string) bool {
-	j, err := engine.Get(name)
-	if err != nil {
-		return false
-	}
-	_, ok := j.(interface{ Inner() string })
-	return ok
 }

@@ -35,8 +35,8 @@ func NewRequestID() string {
 }
 
 // Trace is the span tree of one request. All methods are safe for concurrent
-// use (parallel shard tiles start spans concurrently); a nil *Trace is a
-// valid "not tracing" value whose methods are no-ops.
+// use (goroutines serving one request may start spans concurrently); a nil
+// *Trace is a valid "not tracing" value whose methods are no-ops.
 type Trace struct {
 	mu       sync.Mutex
 	id       string

@@ -151,9 +151,7 @@ func TestJoinAutoCacheSharing(t *testing.T) {
 
 // TestJoinAutoPrefersTransformersOnSkewedData is the serving-side acceptance
 // check: with clustered + skewed catalog datasets big enough to rule out the
-// in-memory engines, "auto" must pick the robust adaptive join — single-node
-// TRANSFORMERS or its sharded form, depending on the machine's worker budget
-// (both run the same algorithm per tile).
+// in-memory engines, "auto" must pick the robust adaptive join.
 func TestJoinAutoPrefersTransformersOnSkewedData(t *testing.T) {
 	svc := NewService(Config{})
 	a := transformers.GenerateMassiveCluster(140_000, 67)
@@ -168,83 +166,9 @@ func TestJoinAutoPrefersTransformersOnSkewedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := out.Summary.Algorithm; got != engine.Transformers && got != engine.ShardTransformers {
-		t.Errorf("auto on skewed catalog data chose %q, want the transformers family (scores: %+v)",
+	if got := out.Summary.Algorithm; got != engine.Transformers {
+		t.Errorf("auto on skewed catalog data chose %q, want transformers (scores: %+v)",
 			got, out.Summary.Planner.Scores)
-	}
-}
-
-// TestJoinShardEngine drives an explicit sharded join through the service:
-// the pair set matches the single-node inner engine, the summary carries the
-// fan-out record, and /stats aggregates it.
-func TestJoinShardEngine(t *testing.T) {
-	svc := NewService(Config{})
-	a := transformers.GenerateDenseCluster(2500, 75)
-	b := transformers.GenerateUniformCluster(2500, 76)
-	for i := range a {
-		a[i].Box = a[i].Box.Expand(2)
-	}
-	for i := range b {
-		b[i].Box = b[i].Box.Expand(2)
-	}
-	if _, err := svc.AddDataset(context.Background(), "a", a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.AddDataset(context.Background(), "b", b); err != nil {
-		t.Fatal(err)
-	}
-	single, err := svc.Join(context.Background(), "a", "b",
-		JoinParams{Algorithm: engine.Transformers, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := svc.Join(context.Background(), "a", "b",
-		JoinParams{Algorithm: engine.ShardTransformers, ShardTiles: 6, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sharded.Pairs) != len(single.Pairs) || sharded.Summary.Results != single.Summary.Results {
-		t.Errorf("sharded join: %d pairs, single-node has %d", len(sharded.Pairs), len(single.Pairs))
-	}
-	sh := sharded.Summary.Shard
-	if sh == nil {
-		t.Fatal("shard summary missing")
-	}
-	if sh.Tiles != 6 || sh.Inner != engine.Transformers {
-		t.Errorf("shard summary: %+v", sh)
-	}
-
-	// A different fan-out must not be served the K=6 execution record.
-	again, err := svc.Join(context.Background(), "a", "b",
-		JoinParams{Algorithm: engine.ShardTransformers, ShardTiles: 3, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Cached {
-		t.Error("K=3 request must not hit the K=6 cache entry")
-	}
-	if again.Summary.Shard == nil || again.Summary.Shard.Tiles != 3 {
-		t.Errorf("K=3 summary: %+v", again.Summary.Shard)
-	}
-	// Same fan-out does hit.
-	hit, err := svc.Join(context.Background(), "a", "b",
-		JoinParams{Algorithm: engine.ShardTransformers, ShardTiles: 3, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit.Cached {
-		t.Error("identical shard request must be served from cache")
-	}
-
-	st := svc.Stats()
-	if st.Shard.Joins != 2 {
-		t.Errorf("stats.shard.joins = %d, want 2 (cache hit excluded)", st.Shard.Joins)
-	}
-	if st.Shard.TilesRun == 0 {
-		t.Error("stats.shard.tiles_run must aggregate executed tiles")
-	}
-	if st.EngineJoins[engine.ShardTransformers] != 2 {
-		t.Errorf("engine_joins[shard-transformers] = %d", st.EngineJoins[engine.ShardTransformers])
 	}
 }
 
@@ -260,7 +184,8 @@ func TestJoinUnknownAlgorithm(t *testing.T) {
 }
 
 // TestHTTPJoinAlgorithm covers the wire format: explicit engine, auto with
-// planner report, and the 400 on unknown names.
+// planner report, and the 400 on unknown names and fields — including the
+// removed sharded tier's engine names and tile pin.
 func TestHTTPJoinAlgorithm(t *testing.T) {
 	ts, _ := newTestServer(t, Config{})
 	postJSON(t, ts.URL+"/datasets", `{"name":"a","generate":{"kind":"massive_cluster","n":2000,"seed":71}}`)
@@ -294,9 +219,15 @@ func TestHTTPJoinAlgorithm(t *testing.T) {
 		t.Errorf("auto did not resolve: %v", sum["algorithm"])
 	}
 
-	code, doc = postJSON(t, ts.URL+"/join", `{"a":"a","b":"b","algorithm":"quantum"}`)
-	if code != http.StatusBadRequest {
-		t.Fatalf("unknown algorithm = %d (%v), want 400", code, doc)
+	for _, body := range []string{
+		`{"a":"a","b":"b","algorithm":"quantum"}`,
+		`{"a":"a","b":"b","algorithm":"shard-inmem"}`,
+		`{"a":"a","b":"b","algorithm":"inmem","shard_tiles":4}`,
+	} {
+		code, doc = postJSON(t, ts.URL+"/join", body)
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s = %d (%v), want 400", body, code, doc)
+		}
 	}
 
 	// /stats reports the engine vocabulary and per-engine counters.

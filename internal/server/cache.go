@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"sync"
 
-	"repro/internal/engine"
 	"repro/internal/engine/planner"
 	"repro/transformers"
 )
@@ -36,11 +35,6 @@ type JoinKey struct {
 	Predicate                string // "intersects" or "distance"
 	Distance                 float64
 	Algorithm                string // resolved engine name
-	// ShardTiles is the executed fan-out of a sharded engine — the resolved
-	// tile count, not the request's pin — so an explicit request at K and an
-	// auto request that resolves to K share one entry. The pair set is
-	// invariant in it, but the cached cost summary is not.
-	ShardTiles int
 }
 
 // PlannerInfo reports how an "auto" request was resolved.
@@ -50,9 +44,6 @@ type PlannerInfo struct {
 	// Fallback is set when the robust default won over a nominally
 	// cheaper engine (see planner.Decision).
 	Fallback bool `json:"fallback,omitempty"`
-	// ShardTiles is the tile count the sharded engines were priced at; a
-	// sharded execution reuses it so the plan and the run agree.
-	ShardTiles int `json:"shard_tiles,omitempty"`
 	// Scores is the full ranked prediction, cheapest first.
 	Scores []planner.Score `json:"scores"`
 }
@@ -71,10 +62,6 @@ type JoinSummary struct {
 	// BuildMS is the per-request index build cost; zero on the
 	// transformers path, whose indexes live in the catalog.
 	BuildMS float64 `json:"build_ms,omitempty"`
-	// Shard is the fan-out record when a sharded meta-engine executed the
-	// join: tiles, replication, dedup drops, worker utilization (per-tile
-	// detail included).
-	Shard *engine.ShardStats `json:"shard,omitempty"`
 	// Delta reports the append-buffer composition when either input carried
 	// a non-empty delta at execution time. Cached — it describes the keyed
 	// content, which pins the epochs it was composed at.

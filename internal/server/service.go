@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -156,12 +156,6 @@ type Service struct {
 	// write failure or disconnect).
 	streamedPairs  atomic.Uint64
 	abortedStreams atomic.Uint64
-
-	// Shard fan-out aggregates across executed sharded joins.
-	shardJoins      atomic.Uint64
-	shardTiles      atomic.Uint64
-	shardReplicated atomic.Uint64
-	shardDedupDrops atomic.Uint64
 
 	// engineJoins counts executed (non-cached) joins per engine name.
 	engineMu    sync.Mutex
@@ -426,7 +420,8 @@ type JoinParams struct {
 	Distance float64
 	// Parallelism overrides the per-join worker count (service default when
 	// zero, all cores when negative). Only engines whose capabilities
-	// report Parallel honor it.
+	// report Parallel honor it, and they are admitted at (at least) one
+	// pool slot per worker.
 	Parallelism int
 	// NoCache bypasses the result cache (both lookup and fill).
 	NoCache bool
@@ -434,9 +429,6 @@ type JoinParams struct {
 	// AlgorithmAuto to let the planner pick, or empty for the service
 	// default.
 	Algorithm string
-	// ShardTiles pins the tile count K of the sharded meta-engines (0 =
-	// the engine's statistics-driven choice); other engines ignore it.
-	ShardTiles int
 }
 
 // JoinOutcome is one join result: pairs in A/B orientation, the cost
@@ -447,14 +439,11 @@ type JoinOutcome struct {
 	Cached  bool
 }
 
-// joinKey assembles the cache key for one join execution. ShardTiles is part
-// of the key: the pair set is invariant in it (a tested property), but the
-// cached cost summary describes one concrete fan-out, and serving a K=4
-// execution record for a K=16 request would misreport what ran. The delta
-// epochs pin the append-buffer state the result composed, so an append is an
+// joinKey assembles the cache key for one join execution. The delta epochs
+// pin the append-buffer state the result composed, so an append is an
 // immediate cache miss without a version bump.
-func joinKey(a, b string, va, vb, ea, eb uint64, distance float64, algorithm string, shardTiles int) JoinKey {
-	key := JoinKey{A: a, B: b, VersionA: va, VersionB: vb, DeltaEpochA: ea, DeltaEpochB: eb, Predicate: "intersects", Distance: distance, Algorithm: algorithm, ShardTiles: shardTiles}
+func joinKey(a, b string, va, vb, ea, eb uint64, distance float64, algorithm string) JoinKey {
+	key := JoinKey{A: a, B: b, VersionA: va, VersionB: vb, DeltaEpochA: ea, DeltaEpochB: eb, Predicate: "intersects", Distance: distance, Algorithm: algorithm}
 	if distance > 0 {
 		key.Predicate = "distance"
 	}
@@ -494,14 +483,12 @@ func deltaAdjusted(st planner.DatasetStats, delta int) planner.DatasetStats {
 }
 
 // plannerConfig assembles one join's planner configuration: the serving
-// economics (prebuilt TRANSFORMERS, pinned tiles, resolved workers) plus the
-// service's fitted calibration and the pair's learned drift corrections.
-func (s *Service) plannerConfig(a, b string, shardTiles, workers int) planner.Config {
+// economics (prebuilt TRANSFORMERS) plus the service's fitted calibration and
+// the pair's learned drift corrections.
+func (s *Service) plannerConfig(a, b string) planner.Config {
 	return planner.Config{
 		PageSize:             s.cfg.PageSize,
 		PrebuiltTransformers: true,
-		ShardTiles:           shardTiles,
-		ShardWorkers:         workers,
 		Calibration:          s.cfg.PlannerCalibration,
 		Correct:              s.corrector.Bind(a, b),
 	}
@@ -511,12 +498,9 @@ func (s *Service) plannerConfig(a, b string, shardTiles, workers int) planner.Co
 // engine name, consulting the planner on "auto". The planner prices the
 // TRANSFORMERS engine without a build phase (its indexes live in the
 // catalog) while every other engine pays a per-request build — the serving
-// economics, not just the algorithmic ones. The plan must describe the
-// execution that would actually run: a pinned shard tile count is priced as
-// pinned, shard fan-out is priced at this join's resolved worker count
-// (workers <= 0 means all cores, the planner's default budget), and a
-// distance join is priced over distance-expanded statistics.
-func (s *Service) resolveAlgorithm(a, b string, requested string, distance float64, shardTiles, workers int) (string, *PlannerInfo, error) {
+// economics, not just the algorithmic ones. A distance join is priced over
+// distance-expanded statistics, the workload that actually runs.
+func (s *Service) resolveAlgorithm(a, b string, requested string, distance float64) (string, *PlannerInfo, error) {
 	algo := requested
 	if algo == "" {
 		algo = s.cfg.DefaultAlgorithm
@@ -532,11 +516,8 @@ func (s *Service) resolveAlgorithm(a, b string, requested string, distance float
 		return "", nil, err
 	}
 	s.autoJoins.Add(1)
-	if workers < 0 {
-		workers = 0 // all cores: the planner's own default budget
-	}
-	d := planner.Plan(sa, sb, s.plannerConfig(a, b, shardTiles, workers))
-	return d.Engine, &PlannerInfo{Requested: AlgorithmAuto, Fallback: d.Fallback, ShardTiles: d.ShardTiles, Scores: d.Scores}, nil
+	d := planner.Plan(sa, sb, s.plannerConfig(a, b))
+	return d.Engine, &PlannerInfo{Requested: AlgorithmAuto, Fallback: d.Fallback, Scores: d.Scores}, nil
 }
 
 // countEngineJoin tallies one executed join per engine for /stats.
@@ -546,36 +527,18 @@ func (s *Service) countEngineJoin(name string) {
 	s.engineMu.Unlock()
 }
 
-// countShardJoin aggregates one sharded execution's fan-out record for
-// /stats (no-op for non-sharded engines).
-func (s *Service) countShardJoin(sh *engine.ShardStats) {
-	if sh == nil {
-		return
-	}
-	s.shardJoins.Add(1)
-	s.shardTiles.Add(uint64(sh.TilesRun))
-	s.shardReplicated.Add(uint64(sh.ReplicatedA + sh.ReplicatedB))
-	s.shardDedupDrops.Add(sh.DedupDropped)
-}
-
 // joinPlan is the resolved execution of one join request — everything the
 // collected and streaming paths share before any expensive work runs.
 type joinPlan struct {
 	algo        string
 	plan        *PlannerInfo
 	parallelism int
-	// keyTiles is the fan-out as cached, execTiles the fan-out actually
-	// executed (planner- or statistics-derived when unpinned). They are
-	// equal for sharded engines — the key carries the executed fan-out, not
-	// the request's pin — and both zero otherwise.
-	keyTiles  int
-	execTiles int
-	va, vb    uint64
+	va, vb      uint64
 	// ea and eb are the inputs' delta epochs at planning time, the cache
 	// fast path's key components alongside the versions.
 	ea, eb uint64
 	// cost is the admission price in pool slot units, derived from the
-	// planner's predicted cost of the resolved engine.
+	// planner's predicted cost of the resolved engine and its worker count.
 	cost int
 	// predictedMS is the planner's cost estimate of the resolved engine
 	// (-1 when unpriced: missing statistics or an Inf/NaN score) and scores
@@ -592,8 +555,8 @@ type joinPlan struct {
 	correction float64
 }
 
-// planJoin validates the request and resolves algorithm, fan-out and dataset
-// versions — the shared prelude of Join and JoinStream.
+// planJoin validates the request and resolves algorithm, admission price and
+// dataset versions — the shared prelude of Join and JoinStream.
 func (s *Service) planJoin(a, b string, p JoinParams) (joinPlan, error) {
 	if p.Distance < 0 || math.IsNaN(p.Distance) || math.IsInf(p.Distance, 0) {
 		return joinPlan{}, fmt.Errorf("server: invalid distance %v", p.Distance)
@@ -604,47 +567,14 @@ func (s *Service) planJoin(a, b string, p JoinParams) (joinPlan, error) {
 	if jp.parallelism == 0 {
 		jp.parallelism = s.cfg.Parallelism
 	}
-	// Normalize the tile pin to the engine contract up front — negatives
-	// mean auto, larger pins clamp to the tile cap — so planning, caching
-	// and execution all describe the same fan-out.
-	pin := p.ShardTiles
-	if pin < 0 {
-		pin = 0
-	}
-	if pin > engine.ShardMaxTiles {
-		pin = engine.ShardMaxTiles
-	}
-
 	// Resolve "auto" before the cache: the planner decision is
 	// deterministic per dataset version, so auto requests share cache
 	// entries with explicit requests for the same engine.
 	var err error
-	jp.algo, jp.plan, err = s.resolveAlgorithm(a, b, p.Algorithm, p.Distance, pin, jp.parallelism)
+	jp.algo, jp.plan, err = s.resolveAlgorithm(a, b, p.Algorithm, p.Distance)
 	if err != nil {
 		return joinPlan{}, err
 	}
-	// The pin only means something to the sharded engines: zeroing it
-	// otherwise keeps the cache from splitting byte-identical results of
-	// the other engines over an ignored field. An unpinned sharded
-	// execution reuses the planner's tile selection (auto) or computes it
-	// from the catalog's cached per-version statistics (explicit), so the
-	// engine never repeats the O(n) statistics pass on the serving path.
-	if strings.HasPrefix(jp.algo, engine.ShardPrefix) {
-		jp.execTiles = pin
-		if jp.execTiles == 0 {
-			if jp.plan != nil {
-				jp.execTiles = jp.plan.ShardTiles
-			} else if sa, sb, err := s.plannedStats(a, b, p.Distance); err == nil {
-				jp.execTiles = planner.ShardTiles(sa, sb)
-			}
-		}
-		// Key on the fan-out that executes, not the request's pin: an auto
-		// request resolving to K and an explicit request pinning the same K
-		// run identically and must share one cache entry — the sharing
-		// cache.go documents.
-		jp.keyTiles = jp.execTiles
-	}
-
 	// Current dataset versions and delta epochs for the cache fast path,
 	// before any index is acquired: a hit must not pay an index (re)build of
 	// an evicted variant. VersionEpoch is a cheap catalog lookup; a
@@ -658,6 +588,16 @@ func (s *Service) planJoin(a, b string, p JoinParams) (joinPlan, error) {
 		return joinPlan{}, err
 	}
 	s.priceJoin(a, b, p.Distance, &jp)
+	// One pool slot is one core: a parallel engine holds a slot per worker
+	// it runs, so Workers and TenantSlots keep bounding cores (the pool
+	// clamps the price to its capacity).
+	if j, err := engine.Get(jp.algo); err == nil && j.Capabilities().Parallel {
+		workers := jp.parallelism
+		if workers < 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		jp.cost = max(jp.cost, workers)
+	}
 	return jp, nil
 }
 
@@ -678,11 +618,7 @@ func (s *Service) priceJoin(a, b string, distance float64, jp *joinPlan) {
 		if err != nil {
 			return
 		}
-		workers := jp.parallelism
-		if workers < 0 {
-			workers = 0
-		}
-		scores = planner.Plan(sa, sb, s.plannerConfig(a, b, jp.keyTiles, workers)).Scores
+		scores = planner.Plan(sa, sb, s.plannerConfig(a, b)).Scores
 	}
 	jp.scores = scores
 	for _, sc := range scores {
@@ -787,7 +723,7 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 			s.noteOutcome(ctx, nil, ha.Retries+hb.Retries, stale)
 			baseA, deltaA, epochA := s.cat.DeltaView(ha)
 			baseB, deltaB, epochB := s.cat.DeltaView(hb)
-			key = joinKey(a, b, ha.Version, hb.Version, epochA, epochB, p.Distance, jp.algo, jp.keyTiles)
+			key = joinKey(a, b, ha.Version, hb.Version, epochA, epochB, p.Distance, jp.algo)
 			res, err = engine.RunStream(ctx, jp.algo, nil, nil, engine.Options{
 				Parallelism: jp.parallelism,
 				Concurrent:  true,
@@ -813,12 +749,11 @@ func (s *Service) executeJoin(ctx context.Context, a, b string, p JoinParams, jp
 			if err != nil {
 				return err
 			}
-			key = joinKey(a, b, verA, verB, epochA, epochB, p.Distance, jp.algo, jp.keyTiles)
+			key = joinKey(a, b, verA, verB, epochA, epochB, p.Distance, jp.algo)
 			res, err = engine.RunStream(ctx, jp.algo, ea, eb, engine.Options{
 				Distance:    p.Distance,
 				Parallelism: jp.parallelism,
 				PageSize:    s.cfg.PageSize,
-				ShardTiles:  jp.execTiles,
 			}, emit)
 			if err == nil && dlA+dlB > 0 {
 				delta = &DeltaSummary{ElementsA: dlA, ElementsB: dlB}
@@ -896,10 +831,9 @@ func mergeDeltaStats(dst *engine.Stats, sub engine.Stats) {
 }
 
 // summarize flattens one executed result into the cacheable cost summary and
-// tallies the per-engine and shard counters.
+// tallies the per-engine counter.
 func (s *Service) summarize(algo string, res *engine.Result) JoinSummary {
 	s.countEngineJoin(algo)
-	s.countShardJoin(res.Stats.Shard)
 	return JoinSummary{
 		Algorithm:       algo,
 		Results:         res.Stats.Refinements,
@@ -909,7 +843,6 @@ func (s *Service) summarize(algo string, res *engine.Result) JoinSummary {
 		ModeledIOMS:     float64(res.Stats.JoinIOTime) / float64(time.Millisecond),
 		Reads:           res.Stats.PagesRead,
 		BuildMS:         float64(res.Stats.BuildTotal) / float64(time.Millisecond),
-		Shard:           res.Stats.Shard,
 	}
 }
 
@@ -937,9 +870,6 @@ func annotatePlan(span *obs.Span, jp joinPlan) {
 	}
 	span.Add("candidates", int64(len(jp.scores)))
 	span.Add("cost_units", int64(jp.cost))
-	if jp.execTiles > 0 {
-		span.Add("shard_tiles", int64(jp.execTiles))
-	}
 }
 
 // recordPlannerSample feeds one served join into the planner accuracy
@@ -1023,7 +953,7 @@ func (s *Service) join(ctx context.Context, a, b string, p JoinParams, streaming
 	var delivered uint64 // pairs emit accepted, live or replayed
 	if !p.NoCache {
 		_, cacheSpan := obs.Start(ctx, "cache")
-		res, ok := s.cache.Get(joinKey(a, b, jp.va, jp.vb, jp.ea, jp.eb, p.Distance, jp.algo, jp.keyTiles))
+		res, ok := s.cache.Get(joinKey(a, b, jp.va, jp.vb, jp.ea, jp.eb, p.Distance, jp.algo))
 		cacheSpan.End()
 		if ok {
 			cacheSpan.Add("hit", 1)
@@ -1168,8 +1098,6 @@ type Stats struct {
 	// early — consumer write failure or mid-stream disconnect.
 	StreamedPairs  uint64 `json:"streamed_pairs"`
 	AbortedStreams uint64 `json:"aborted_streams"`
-	// Shard aggregates fan-out activity across executed sharded joins.
-	Shard ShardAggregate `json:"shard"`
 	// Algorithms lists the engines a join may name, plus "auto";
 	// DefaultAlgorithm is what an unnamed request gets.
 	Algorithms       []string      `json:"algorithms"`
@@ -1192,18 +1120,6 @@ type TenantStats struct {
 	DeadlineAborts uint64 `json:"deadline_aborts"`
 	Retries        uint64 `json:"retries"`
 	LastGoodServes uint64 `json:"last_good_serves"`
-}
-
-// ShardAggregate is the /stats roll-up of sharded executions.
-type ShardAggregate struct {
-	// Joins counts executed (non-cached) sharded joins; TilesRun the tiles
-	// they actually executed.
-	Joins    uint64 `json:"joins"`
-	TilesRun uint64 `json:"tiles_run"`
-	// Replicated counts boundary element copies; DedupDrops the duplicate
-	// pairs reference-point dedup discarded.
-	Replicated uint64 `json:"replicated"`
-	DedupDrops uint64 `json:"dedup_drops"`
 }
 
 // Stats returns a snapshot of service activity.
@@ -1248,12 +1164,6 @@ func (s *Service) Stats() Stats {
 		EngineJoins:      engineJoins,
 		StreamedPairs:    s.streamedPairs.Load(),
 		AbortedStreams:   s.abortedStreams.Load(),
-		Shard: ShardAggregate{
-			Joins:      s.shardJoins.Load(),
-			TilesRun:   s.shardTiles.Load(),
-			Replicated: s.shardReplicated.Load(),
-			DedupDrops: s.shardDedupDrops.Load(),
-		},
 		Algorithms:       append(engine.Names(), AlgorithmAuto),
 		DefaultAlgorithm: s.cfg.DefaultAlgorithm,
 		Catalog:          s.cat.Stats(),

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/naive"
+	"repro/internal/obs"
 	"repro/transformers"
 )
 
@@ -84,6 +85,40 @@ func TestPoolHonorsContext(t *testing.T) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	close(release)
+}
+
+// TestJoinAdmissionPricesWorkers: one pool slot is one core, so a parallel
+// engine is admitted at (at least) one slot per worker it runs, while a
+// single-worker join and an engine that ignores Parallelism stay at one
+// slot. The price is read from the admission span's cost_units.
+func TestJoinAdmissionPricesWorkers(t *testing.T) {
+	svc := NewService(Config{Workers: 4})
+	addDataset(t, svc, "a", transformers.GenerateUniform(2000, 41))
+	addDataset(t, svc, "b", transformers.GenerateUniform(2000, 42))
+	for _, tc := range []struct {
+		algo        string
+		parallelism int
+		min, max    int64
+	}{
+		{"inmem", 3, 3, 4},
+		{"inmem", 1, 1, 1},
+		{"grid", 3, 1, 1},
+	} {
+		tr := obs.New("")
+		ctx := obs.NewContext(context.Background(), tr)
+		if _, err := svc.Join(ctx, "a", "b",
+			JoinParams{Algorithm: tc.algo, Parallelism: tc.parallelism, NoCache: true}); err != nil {
+			t.Fatal(err)
+		}
+		wait := tr.Finish().Find("admission-wait")
+		if wait == nil {
+			t.Fatalf("%s p=%d: no admission-wait span", tc.algo, tc.parallelism)
+		}
+		if got := wait.Counters["cost_units"]; got < tc.min || got > tc.max {
+			t.Errorf("%s p=%d: admitted at %d units, want %d..%d",
+				tc.algo, tc.parallelism, got, tc.min, tc.max)
+		}
+	}
 }
 
 func TestJoinCacheLRU(t *testing.T) {

@@ -121,11 +121,11 @@ func TestServiceStreamDisconnectCancelsJoin(t *testing.T) {
 	addDataset(t, svc, "a", bigOverlapDataset(1200, 71))
 	addDataset(t, svc, "b", bigOverlapDataset(1200, 72))
 
-	for _, algo := range []string{"transformers", "shard-grid"} {
+	for _, algo := range []string{"transformers", "inmem"} {
 		ctx, cancel := context.WithCancel(context.Background())
 		n := 0
 		_, err := svc.JoinStream(ctx, "a", "b",
-			JoinParams{NoCache: true, Algorithm: algo, ShardTiles: 7, Parallelism: 3},
+			JoinParams{NoCache: true, Algorithm: algo, Parallelism: 3},
 			func(transformers.Pair) error {
 				n++
 				if n == 40 {
@@ -165,9 +165,8 @@ func TestServiceStreamDisconnectCancelsJoin(t *testing.T) {
 // TestHTTPStreamBackpressureSlowReader: a large NDJSON join read by a slow
 // client must complete without unbounded server-side buffering — the result
 // is far over the cache threshold, so the only unbounded place it could sit
-// is a response buffer, and the engine-side bound is pinned by
-// shard.TestStreamBoundedBuffering. The stream must deliver every pair and
-// close with the summary line.
+// is a response buffer (the engines hand each pair straight to emit). The
+// stream must deliver every pair and close with the summary line.
 func TestHTTPStreamBackpressureSlowReader(t *testing.T) {
 	// CacheMaxPairs 500: the ~100K-pair result must not be pinned in memory
 	// by the cache tee either.
@@ -176,7 +175,7 @@ func TestHTTPStreamBackpressureSlowReader(t *testing.T) {
 	addDataset(t, svc, "b", bigOverlapDataset(1600, 82))
 
 	want, err := svc.Join(context.Background(), "a", "b",
-		JoinParams{NoCache: true, Algorithm: "shard-grid", ShardTiles: 7})
+		JoinParams{NoCache: true, Algorithm: "inmem", Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +184,7 @@ func TestHTTPStreamBackpressureSlowReader(t *testing.T) {
 	}
 
 	resp, err := http.Post(ts.URL+"/join", "application/json",
-		strings.NewReader(`{"a":"a","b":"b","stream":true,"no_cache":true,"algorithm":"shard-grid","shard_tiles":7}`))
+		strings.NewReader(`{"a":"a","b":"b","stream":true,"no_cache":true,"algorithm":"inmem","parallelism":3}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +266,7 @@ func TestHTTPStreamClientDisconnect(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req := httptest.NewRequest(http.MethodPost, "/join",
-		strings.NewReader(`{"a":"a","b":"b","stream":true,"no_cache":true,"algorithm":"shard-grid","shard_tiles":7,"parallelism":3}`)).
+		strings.NewReader(`{"a":"a","b":"b","stream":true,"no_cache":true,"algorithm":"inmem","parallelism":3}`)).
 		WithContext(ctx)
 	w := &brokenPipeWriter{failAfter: 128 << 10, cancel: cancel}
 	h.ServeHTTP(w, req) // must return despite the gone client

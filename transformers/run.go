@@ -8,12 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/storage"
-
-	// Register the sharded meta-engines (shard-transformers, shard-grid)
-	// with the registry: every layer above — the CLI tools, the bench
-	// harness, the serving daemon — imports this facade, so the import here
-	// makes the sharded tier reachable everywhere by name.
-	_ "repro/internal/engine/shard"
 )
 
 // Algorithm selects a spatial join engine for Run. Values are engine
@@ -65,9 +59,6 @@ type RunOptions struct {
 	PBSMTilesPerDim int
 	// RTreeFanout caps R-tree node fanout; page capacity when zero.
 	RTreeFanout int
-	// ShardTiles sets the tile count K of the sharded meta-engines
-	// (shard-transformers, shard-grid); 0 picks K from dataset statistics.
-	ShardTiles int
 	// Join forwards TRANSFORMERS-specific knobs.
 	Join JoinOptions
 	// CollectPairs returns the result pairs in the report (costs memory on
@@ -83,7 +74,6 @@ func (opt RunOptions) engineOptions() engine.Options {
 		Disk:              opt.Disk,
 		PBSMTilesPerDim:   opt.PBSMTilesPerDim,
 		RTreeFanout:       opt.RTreeFanout,
-		ShardTiles:        opt.ShardTiles,
 		DiscardPairs:      !opt.CollectPairs,
 		DisableTransforms: opt.Join.DisableTransforms,
 		TSU:               opt.Join.TSU,
@@ -121,10 +111,6 @@ type RunReport struct {
 	// TRANSFORMERS-specific detail (zero for other algorithms).
 	Transformers core.JoinStats
 
-	// Shard is the fan-out record when a sharded meta-engine ran (nil
-	// otherwise): tiles, replication, dedup drops, worker utilization.
-	Shard *engine.ShardStats
-
 	// Pairs is populated only with RunOptions.CollectPairs.
 	Pairs []Pair
 }
@@ -146,7 +132,6 @@ func reportFromResult(res *engine.Result) *RunReport {
 		MetaComps:    res.Stats.MetaComparisons,
 		Results:      res.Stats.Refinements,
 		Transformers: res.Stats.Transformers,
-		Shard:        res.Stats.Shard,
 		Pairs:        res.Pairs,
 	}
 }
