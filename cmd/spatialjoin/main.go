@@ -20,7 +20,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -102,13 +101,12 @@ func streamJoin(algo string, a, b []transformers.Element, opt transformers.RunOp
 		fatalIf(fmt.Errorf("-stream needs one engine, not \"all\""))
 	}
 	bw := bufio.NewWriterSize(os.Stdout, 64<<10)
-	enc := json.NewEncoder(bw)
+	var line []byte
 	rep, err := transformers.RunStream(context.Background(), transformers.Algorithm(algo), a, b, opt,
 		func(p transformers.Pair) error {
-			return enc.Encode(struct {
-				A uint64 `json:"a"`
-				B uint64 `json:"b"`
-			}{p.A, p.B})
+			line = p.AppendNDJSON(line[:0])
+			_, err := bw.Write(line)
+			return err
 		})
 	if ferr := bw.Flush(); err == nil {
 		err = ferr

@@ -11,6 +11,7 @@ package geom
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Dims is the dimensionality of the space. The paper evaluates on
@@ -265,4 +266,17 @@ func MBBOf(elems []Element) Box {
 // of any internal role switching an algorithm performs.
 type Pair struct {
 	A, B uint64
+}
+
+// AppendNDJSON appends p to dst as one NDJSON line, {"a":<A>,"b":<B>}
+// followed by a newline — byte-identical to what a json.Encoder writes for a
+// struct with uint64 fields tagged "a" and "b", without reflection or
+// allocation once dst has room. Every streamed pair path writes its lines
+// through it.
+func (p Pair) AppendNDJSON(dst []byte) []byte {
+	dst = append(dst, `{"a":`...)
+	dst = strconv.AppendUint(dst, p.A, 10)
+	dst = append(dst, `,"b":`...)
+	dst = strconv.AppendUint(dst, p.B, 10)
+	return append(dst, "}\n"...)
 }

@@ -260,3 +260,23 @@ func TestPropCenterInsideBox(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPairAppendNDJSONNoAllocs: encoding a 512-pair block into a buffer with
+// room for it allocates nothing — the property the streamed pair paths rely
+// on to stay off the garbage collector.
+func TestPairAppendNDJSONNoAllocs(t *testing.T) {
+	blk := make([]Pair, 512)
+	for i := range blk {
+		blk[i] = Pair{A: uint64(i) << 40, B: math.MaxUint64 - uint64(i)}
+	}
+	buf := make([]byte, 0, len(blk)*64)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = buf[:0]
+		for _, p := range blk {
+			buf = p.AppendNDJSON(buf)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("encoding a 512-pair block allocates %v times, want 0", allocs)
+	}
+}

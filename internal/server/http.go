@@ -510,28 +510,28 @@ func handleJoin(svc *Service, w http.ResponseWriter, r *http.Request, distance b
 	// them), include_pairs collects them up to the cache's per-entry
 	// threshold, and a stream writes them out as they surface.
 	n := 0
-	emit := func(transformers.Pair) error { n++; return nil }
+	emit := func(blk []transformers.Pair) error { n += len(blk); return nil }
 	var stream *ndjsonStream
 	var pairs []pairDTO
 	switch {
 	case req.Stream:
 		stream = newNDJSONStream(w)
 		defer stream.close()
-		emit = func(p transformers.Pair) error {
-			if err := stream.pair(p, n); err != nil {
-				return err
-			}
-			n++
-			return nil
+		emit = func(blk []transformers.Pair) error {
+			sent, err := stream.pairs(blk)
+			n += sent
+			return err
 		}
 	case req.IncludePairs:
 		maxPairs := svc.cache.MaxPairs()
-		emit = func(p transformers.Pair) error {
-			if n == maxPairs {
-				return fmt.Errorf("%w: result exceeds %d pairs; request \"stream\": true instead", errTooManyPairs, maxPairs)
+		emit = func(blk []transformers.Pair) error {
+			for _, p := range blk {
+				if n == maxPairs {
+					return fmt.Errorf("%w: result exceeds %d pairs; request \"stream\": true instead", errTooManyPairs, maxPairs)
+				}
+				pairs = append(pairs, pairDTO{A: p.A, B: p.B})
+				n++
 			}
-			pairs = append(pairs, pairDTO{A: p.A, B: p.B})
-			n++
 			return nil
 		}
 	}
@@ -582,20 +582,14 @@ func handleJoin(svc *Service, w http.ResponseWriter, r *http.Request, distance b
 	writeJSON(w, http.StatusOK, joinResponse{A: req.A, B: req.B, RequestID: rid, Cached: out.Cached, Summary: out.Summary, Pairs: pairs, Trace: echoed})
 }
 
-// streamFlushEvery is the pair interval between explicit flushes of a
-// streaming join response: small enough that a consumer sees progress (and a
-// gone consumer is noticed) promptly, large enough to amortize the flush.
-// The 64KB bufio layer flushes on its own in between, so response-path
-// buffering is bounded either way.
-const streamFlushEvery = 512
-
 // streamWriteTimeout is the rolling per-flush write deadline of a streaming
-// response. The join runs inside a pool slot while its pairs are written, so
-// a connected-but-stalled client (slow-loris) would otherwise pin the slot
-// forever: the request context only cancels on disconnect, and the daemon
-// sets no global WriteTimeout (legitimate streams are arbitrarily long). A
-// client must drain each flush within this window or its writes fail, which
-// aborts the join and frees the slot.
+// response, re-armed at every flush — once per pair block. The join runs
+// inside a pool slot while its pairs are written, so a connected-but-stalled
+// client (slow-loris) would otherwise pin the slot forever: the request
+// context only cancels on disconnect, and the daemon sets no global
+// WriteTimeout (legitimate streams are arbitrarily long). A client must
+// drain each flush within this window or its writes fail, which aborts the
+// join and frees the slot.
 const streamWriteTimeout = 30 * time.Second
 
 // streamTrailer is the final NDJSON line of every stream that got past the
@@ -614,17 +608,17 @@ type streamTrailer struct {
 	Trace     *obs.TraceDTO `json:"trace,omitempty"`
 }
 
-// ndjsonStream writes a streamed join response: one pair object per line as
-// pairs surface, then one final trailer line. Writes happen under the
-// engine's backpressure — a slow consumer slows the join instead of growing
-// a buffer — and a failed write (client gone) aborts the underlying join.
-// Errors before the first pair still get a proper HTTP status; later ones
-// are reported in the trailer with aborted:true, so clients can always
-// distinguish truncation from completion.
+// ndjsonStream writes a streamed join response: one pair object per line,
+// a block of lines at a time as pairs surface, then one final trailer line.
+// Writes happen under the engine's backpressure — a slow consumer slows the
+// join instead of growing a buffer — and a failed write (client gone) aborts
+// the underlying join. Errors before the first pair still get a proper HTTP
+// status; later ones are reported in the trailer with aborted:true, so
+// clients can always distinguish truncation from completion.
 type ndjsonStream struct {
 	w       http.ResponseWriter
 	bw      *bufio.Writer
-	enc     *json.Encoder
+	line    []byte // reused pair-line encoding buffer
 	flusher http.Flusher
 	rc      *http.ResponseController
 	started bool
@@ -633,7 +627,7 @@ type ndjsonStream struct {
 func newNDJSONStream(w http.ResponseWriter) *ndjsonStream {
 	bw := bufio.NewWriterSize(w, 64<<10)
 	flusher, _ := w.(http.Flusher)
-	return &ndjsonStream{w: w, bw: bw, enc: json.NewEncoder(bw), flusher: flusher, rc: http.NewResponseController(w)}
+	return &ndjsonStream{w: w, bw: bw, flusher: flusher, rc: http.NewResponseController(w)}
 }
 
 // arm sets the rolling write deadline: armed before the response starts and
@@ -657,17 +651,20 @@ func (s *ndjsonStream) begin() {
 	}
 }
 
-// pair writes one pair line; sent is the number of lines before it.
-func (s *ndjsonStream) pair(p transformers.Pair, sent int) error {
+// pairs writes one block of pair lines, then re-arms the deadline and
+// flushes, so the client sees every block as soon as it is written. It
+// returns the number of lines the buffered writer accepted — exact even when
+// a write fails mid-block, so the trailer's count matches the lines sent.
+func (s *ndjsonStream) pairs(blk []transformers.Pair) (int, error) {
 	s.begin()
-	if err := s.enc.Encode(pairDTO{A: p.A, B: p.B}); err != nil {
-		return err
+	for i, p := range blk {
+		s.line = p.AppendNDJSON(s.line[:0])
+		if _, err := s.bw.Write(s.line); err != nil {
+			return i, err
+		}
 	}
-	if (sent+1)%streamFlushEvery == 0 {
-		s.arm()
-		return s.flush()
-	}
-	return nil
+	s.arm()
+	return len(blk), s.flush()
 }
 
 // trailer ends the stream (a zero-pair join still answers with one). It
@@ -676,7 +673,7 @@ func (s *ndjsonStream) pair(p transformers.Pair, sent int) error {
 func (s *ndjsonStream) trailer(t streamTrailer) {
 	s.begin()
 	s.arm()
-	_ = s.enc.Encode(t)
+	_ = json.NewEncoder(s.bw).Encode(t)
 	_ = s.flush()
 }
 

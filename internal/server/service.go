@@ -852,8 +852,8 @@ func (s *Service) summarize(algo string, res *engine.Result) JoinSummary {
 // JoinStream runs, so it does not count as a streaming consumer in /stats.
 func (s *Service) Join(ctx context.Context, a, b string, p JoinParams) (*JoinOutcome, error) {
 	var pairs []transformers.Pair
-	out, err := s.join(ctx, a, b, p, false, func(pr transformers.Pair) error {
-		pairs = append(pairs, pr)
+	out, err := s.join(ctx, a, b, p, false, func(blk []transformers.Pair) error {
+		pairs = append(pairs, blk...)
 		return nil
 	})
 	if err != nil {
@@ -925,23 +925,42 @@ func (s *Service) datasetFeatures(name string, version uint64) obs.DatasetFeatur
 // to emit as the engine finds it instead of materializing the result. A
 // cache hit replays the cached pairs; a miss executes the engine's streaming
 // path, so server-side pair buffering is bounded by the engine's worker
-// budget plus the cache-fill tee — and the tee is abandoned the moment the
-// result provably exceeds the cache's per-entry threshold, so an
-// arbitrarily large join streams in bounded memory and is simply not
+// budget, one pair block, and the cache-fill tee — and the tee is abandoned
+// the moment the result provably exceeds the cache's per-entry threshold, so
+// an arbitrarily large join streams in bounded memory and is simply not
 // cached. An emit error (a slow consumer gone away, the request context
 // canceled) aborts the underlying join and is returned. The returned
 // outcome carries the summary with Pairs nil.
 func (s *Service) JoinStream(ctx context.Context, a, b string, p JoinParams, emit func(transformers.Pair) error) (*JoinOutcome, error) {
-	return s.join(ctx, a, b, p, true, emit)
+	return s.join(ctx, a, b, p, true, func(blk []transformers.Pair) error {
+		for _, pr := range blk {
+			if err := emit(pr); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
-// join is the one body behind Join and JoinStream: plan, then replay a cache
-// hit through emit or execute the engine with emit teed into a bounded
-// cache-fill buffer, then summarize. streaming marks a streaming consumer:
-// only those advance streamed_pairs and aborted_streams, and only their
-// traced runs get a "stream-emit" record — two clock reads per pair that the
-// collected and count paths never pay.
-func (s *Service) join(ctx context.Context, a, b string, p JoinParams, streaming bool, emit func(transformers.Pair) error) (*JoinOutcome, error) {
+// pairBlock is the number of pairs join hands its consumer at a time: large
+// enough that per-block costs (a flush, two clock reads) vanish beside the
+// per-pair work, small enough that a consumer sees progress promptly and the
+// block buffer stays a few kilobytes.
+const pairBlock = 512
+
+// join is the one body behind Join, JoinStream and the HTTP handler: plan,
+// then replay a cache hit through emit or execute the engine with its pairs
+// gathered into blocks and teed into a bounded cache-fill buffer, then
+// summarize. emit receives pairs in blocks of at most pairBlock; a block is
+// only valid during the call — the consumer must neither keep nor modify it
+// after emit returns (live blocks are reused, replayed blocks alias the
+// cache). On a live run the first pair goes out alone, so a consumer commits
+// to a response at the first pair rather than the first full block, and the
+// last partial block goes out when the engine stops — even when the engine
+// failed, unless the consumer's own emit did. streaming marks a streaming
+// consumer: only those advance streamed_pairs and aborted_streams, and only
+// their traced runs get a "stream-emit" record of the time spent inside emit.
+func (s *Service) join(ctx context.Context, a, b string, p JoinParams, streaming bool, emit func([]transformers.Pair) error) (*JoinOutcome, error) {
 	start := time.Now()
 	_, planSpan := obs.Start(ctx, "plan")
 	jp, err := s.planJoin(a, b, p)
@@ -958,11 +977,12 @@ func (s *Service) join(ctx context.Context, a, b string, p JoinParams, streaming
 		if ok {
 			cacheSpan.Add("hit", 1)
 			_, replay := obs.Start(ctx, "replay")
-			for _, pr := range res.Pairs {
-				if err = emit(pr); err != nil {
+			for i := 0; i < len(res.Pairs); i += pairBlock {
+				end := min(i+pairBlock, len(res.Pairs))
+				if err = emit(res.Pairs[i:end:end]); err != nil {
 					break
 				}
-				delivered++
+				delivered += uint64(end - i)
 			}
 			replay.End()
 			replay.Add("pairs", int64(delivered))
@@ -982,41 +1002,55 @@ func (s *Service) join(ctx context.Context, a, b string, p JoinParams, streaming
 		}
 	}
 
-	// Tee emitted pairs into a bounded cache-fill buffer. The engine layer
-	// serializes emit calls and completes them before the join returns, so
-	// the closure state needs no extra synchronization.
+	// Gather the engine's pairs into one reused block and hand it out when
+	// full; each handed-out block is teed into a bounded cache-fill buffer.
+	// The engine layer serializes emit calls and completes them before the
+	// join returns, so the closure state needs no extra synchronization.
 	maxCache := s.cache.MaxPairs()
 	caching := !p.NoCache
 	var buf []transformers.Pair
+	blk := make([]transformers.Pair, 0, pairBlock)
 	emitFailed := false
-	timed := streaming && obs.Enabled(ctx)
+	var blocks uint64
 	var emitDur time.Duration
-	res, key, stale, deltaSum, exSpan, err := s.executeJoin(ctx, a, b, p, jp, func(pr transformers.Pair) error {
+	handOut := func() error {
 		if caching {
-			if len(buf) < maxCache {
-				buf = append(buf, pr)
-			} else {
+			if len(buf)+len(blk) > maxCache {
 				caching, buf = false, nil // over threshold: never cached
+			} else {
+				buf = append(buf, blk...)
 			}
 		}
-		var emitErr error
-		if timed {
-			t0 := time.Now()
-			emitErr = emit(pr)
-			emitDur += time.Since(t0)
-		} else {
-			emitErr = emit(pr)
-		}
-		if emitErr != nil {
+		t0 := time.Now()
+		err := emit(blk)
+		emitDur += time.Since(t0)
+		n := len(blk)
+		blk = blk[:0]
+		if err != nil {
 			emitFailed = true
-			return emitErr
+			return err
 		}
-		delivered++
+		delivered += uint64(n)
+		blocks++
+		return nil
+	}
+	res, key, stale, deltaSum, exSpan, err := s.executeJoin(ctx, a, b, p, jp, func(pr transformers.Pair) error {
+		blk = append(blk, pr)
+		if len(blk) == pairBlock || blocks == 0 {
+			return handOut()
+		}
 		return nil
 	})
+	if len(blk) > 0 && !emitFailed {
+		if tailErr := handOut(); err == nil {
+			err = tailErr
+		}
+	}
 	if streaming {
 		if exSpan != nil {
-			exSpan.Record("stream-emit", emitDur).Add("pairs", int64(delivered))
+			rec := exSpan.Record("stream-emit", emitDur)
+			rec.Add("pairs", int64(delivered))
+			rec.Add("blocks", int64(blocks))
 		}
 		s.streamedPairs.Add(delivered)
 		// aborted_streams means the consumer ended a stream that had begun:
@@ -1094,8 +1128,10 @@ type Stats struct {
 	AutoJoins   uint64            `json:"auto_joins"`
 	EngineJoins map[string]uint64 `json:"engine_joins"`
 	// StreamedPairs counts pairs delivered to streaming consumers (cache
-	// replays included); AbortedStreams counts streaming joins that ended
-	// early — consumer write failure or mid-stream disconnect.
+	// replays included): the pairs of every block the consumer accepted, so
+	// a block whose delivery failed is not counted. AbortedStreams counts
+	// streaming joins that ended early — consumer write failure or
+	// mid-stream disconnect.
 	StreamedPairs  uint64 `json:"streamed_pairs"`
 	AbortedStreams uint64 `json:"aborted_streams"`
 	// Algorithms lists the engines a join may name, plus "auto";
